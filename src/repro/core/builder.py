@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -210,20 +209,7 @@ class WKNNGBuilder:
         self.config = config if config is not None else BuildConfig(**kwargs)
         self.obs = obs
         self.last_obs: Observability | None = None
-        self._last_report: BuildReport | None = None
         self.last_forest: RPForest | None = None
-
-    @property
-    def last_report(self) -> BuildReport | None:
-        """Deprecated: use ``build(points, return_report=True)`` or
-        ``graph.report`` instead."""
-        warnings.warn(
-            "WKNNGBuilder.last_report is deprecated; use "
-            "build(points, return_report=True) or graph.report",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._last_report
 
     # -- pipeline ---------------------------------------------------------------
 
@@ -384,7 +370,6 @@ class WKNNGBuilder:
             obs, counters_prefix=KERNEL_PREFIX, counters_baseline=counters_before,
             metric=cfg.metric, strategy=cfg.strategy, parallel=parallel_info,
         )
-        self._last_report = report
         graph = KNNGraph(
             ids=ids,
             dists=dists,
@@ -411,5 +396,4 @@ class WKNNGBuilder:
         from repro.simt_kernels.pipeline import build_knng_simt
 
         graph, report = build_knng_simt(x, cfg, obs=obs)
-        self._last_report = report
         return graph, report

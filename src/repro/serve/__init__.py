@@ -12,13 +12,18 @@ under sustained load, and an optional LRU result cache.
 Every serving frontend implements the same :class:`SearchClient`
 protocol and returns :class:`SearchResult`, so they interchange freely:
 
-* :class:`KNNServer` - one :class:`~repro.apps.search.GraphSearchIndex`,
-  one process, the full batching/backpressure envelope;
+* :class:`KNNServer` - one :class:`~repro.apps.search.GraphSearchIndex`
+  (or :class:`~repro.core.mutable.MutableIndex`), one process;
 * :class:`ClusterClient` - the dataset partitioned across ``S`` index
   shards with ``R`` replica workers each, health-aware scatter-gather
   routing and a packed-key merge (see :mod:`repro.serve.cluster`);
 * :class:`DirectClient` - a thin synchronous adapter over a bare index,
   the no-envelope baseline the serving benchmarks compare against.
+
+The first two share one request path,
+:class:`~repro.serve.frontend.ServingFrontend`, and differ only in its
+executor: a local one that searches the index, or a scatter-gather one
+that fans out to the shards and merges.
 
 Quickstart::
 
@@ -79,7 +84,6 @@ from repro.serve.server import (
     DeadlinePolicy,
     KNNServer,
     QuantizationPolicy,
-    QueryResult,
     ServeConfig,
 )
 
@@ -93,7 +97,6 @@ __all__ = [
     "DeadlinePolicy",
     "CachePolicy",
     "QuantizationPolicy",
-    "QueryResult",
     "SERVE_METRICS_PREFIX",
     "ClusterClient",
     "ClusterConfig",

@@ -2,8 +2,9 @@
 
 Every way of answering online K-NN queries - the in-process micro-batching
 :class:`~repro.serve.server.KNNServer`, the sharded multi-replica
-:class:`~repro.serve.cluster.ClusterClient`, and the zero-infrastructure
-:class:`DirectClient` below - speaks the same protocol:
+:class:`~repro.serve.cluster.ClusterClient` (both
+:class:`~repro.serve.frontend.ServingFrontend` instances), and the
+zero-infrastructure :class:`DirectClient` below - speaks the same protocol:
 
 * ``submit(query, k, *, ef=None, deadline_ms=None) -> Future`` - async
   submission; the future resolves to a :class:`SearchResult` or raises one
@@ -14,12 +15,8 @@ Every way of answering online K-NN queries - the in-process micro-batching
 * ``dim`` / ``default_ef`` - what load generators need to shape traffic.
 
 Benchmarks, load generators and examples consume only this surface, so a
-single-process server and a sharded cluster are interchangeable behind it
-- the point of the redesign.
-
-:class:`SearchResult` replaces the historical ad-hoc ``(ids, dists)``
-tuples and per-implementation result classes; ``QueryResult`` remains as
-an alias for one release.
+single-process server and a sharded cluster are interchangeable behind it.
+Every frontend resolves requests to one :class:`SearchResult`.
 """
 
 from __future__ import annotations
@@ -71,15 +68,16 @@ class SearchResult:
     batch_size: int = 1
     epoch: int = 0
 
-    @property
-    def ef_used(self) -> int:
-        """Deprecated alias of :attr:`served_ef` (pre-redesign name)."""
-        return self.served_ef
 
-    @property
-    def cached(self) -> bool:
-        """Deprecated alias of :attr:`from_cache` (pre-redesign name)."""
-        return self.from_cache
+def engine_view(index: Any) -> Any:
+    """The engine to search: a mutable index's current epoch-stamped
+    ``snapshot``, or a static index itself (implicit epoch 0)."""
+    return getattr(index, "snapshot", index)
+
+
+def index_ef(index: Any) -> int:
+    """The beam width an index is configured to search at (default 32)."""
+    return int(getattr(getattr(index, "config", None), "ef", 32))
 
 
 @runtime_checkable
@@ -144,9 +142,7 @@ class DirectClient:
         self.index = index
         self._dim = int(index.dim)
         self._default_k = check_positive_int(default_k, "default_k")
-        if ef is None:
-            ef = int(getattr(getattr(index, "config", None), "ef", 32))
-        self._ef = check_positive_int(ef, "ef")
+        self._ef = check_positive_int(index_ef(index) if ef is None else ef, "ef")
         self._closed = False
         self._queries = 0
 
@@ -176,9 +172,7 @@ class DirectClient:
         # pin one view for the call: against a mutable index this is the
         # epoch-stamped snapshot, so the reported epoch is exactly the
         # graph version that produced the answer
-        engine = getattr(self.index, "snapshot", None)
-        if engine is None or callable(engine):
-            engine = self.index
+        engine = engine_view(self.index)
         ids, dists = engine.search(q[None, :], k, ef=ef)
         latency_ms = (time.monotonic() - t0) * 1000.0
         self._queries += 1

@@ -33,9 +33,11 @@ while ``"scaled"`` sends ``~ef/S`` so total beam work stays roughly
 constant as shards are added, which is what makes QPS scale with ``S``
 (beam-search cost is ~linear in ``ef`` and only weakly dependent on n).
 
-:class:`ClusterClient` fronts the router with the same serving envelope as
-:class:`KNNServer` - bounded admission, micro-batching, two-phase
-deadlines, ``ef``-shedding, optional result cache - and implements the
+:class:`ClusterClient` is the same
+:class:`~repro.serve.frontend.ServingFrontend` as :class:`KNNServer` -
+bounded admission, micro-batching, two-phase deadlines, ``ef``-shedding,
+the epoch-keyed result cache - over a :class:`ScatterGatherExecutor`
+instead of a local one, and implements the
 :class:`~repro.serve.client.SearchClient` protocol, so a cluster drops in
 anywhere a single server did.  ``cluster/*`` metrics, ``CLUSTER_*`` /
 ``REPLICA_*`` hook events and ``cluster_batch -> shard-i -> merge`` trace
@@ -50,7 +52,7 @@ import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -61,24 +63,15 @@ from repro.core.sharding import shard_partition
 from repro.errors import (
     ClusterError,
     ConfigurationError,
-    DeadlineExceeded,
     ReplicaUnavailable,
-    ServerClosed,
-    ServerOverloaded,
     ShardUnavailable,
 )
-from repro.obs import Events, Observability
-from repro.serve.cache import ResultCache
-from repro.serve.client import SearchResult
-from repro.serve.degrade import DegradationController
-from repro.serve.queue import AdmissionQueue
-from repro.serve.scheduler import MicroBatcher, Request, resolve
+from repro.obs import Events, Observability, Tracer
+from repro.serve.client import index_ef
+from repro.serve.frontend import Executor, FrontendSpec, GroupCall, ServingFrontend
 from repro.serve.server import ServeConfig
 from repro.utils.parallel import fork_available
-from repro.utils.validation import (
-    check_positive_int,
-    check_query_vector,
-)
+from repro.utils.validation import check_positive_int
 
 #: registry namespace the cluster metrics emit under
 CLUSTER_METRICS_PREFIX = "cluster/"
@@ -91,6 +84,8 @@ _ID_MASK = np.int64((1 << 31) - 1)
 _ID_CAPACITY = 1 << 31
 #: empty result slot: quiet-NaN distance bits, sorts after every real entry
 _EMPTY_KEY = np.int64(0x7FC00000) << 32
+#: the tracer of a cluster without an Observability: every span is a no-op
+_NO_TRACE = Tracer(enabled=False)
 
 
 # -- the cross-shard reduction --------------------------------------------------
@@ -759,7 +754,75 @@ class ShardRouter:
 # -- the cluster-facing client --------------------------------------------------
 
 
-class ClusterClient:
+class ScatterGatherExecutor(Executor):
+    """Frontend executor over a :class:`ShardRouter`.
+
+    Each ``(k, ef)`` group is one :meth:`ShardRouter.scatter` across the
+    shards at the per-shard ``ef`` of the :attr:`ClusterConfig.shard_ef_policy`,
+    reduced by :func:`merge_topk`.  Both are looked up at call time, so
+    wrappers installed on ``ShardRouter`` or on this module's
+    ``merge_topk`` see every call.  The shards hold static indexes, so
+    every answer is at epoch 0.
+    """
+
+    counters = ("shard_errors",)
+
+    def __init__(self, router: ShardRouter, config: ClusterConfig,
+                 backend: str, obs: Observability | None) -> None:
+        self.router = router
+        self.config = config
+        self.backend = backend
+        self.obs = obs
+        self.fanout = len(router.groups)
+
+    def pin(self, k: int, ef: int) -> tuple[GroupCall, int, dict[str, Any]]:
+        shard_ef = self.config.shard_ef(ef, k)
+
+        def run(qmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+            trace = self.obs.trace if self.obs is not None else _NO_TRACE
+            with trace.span("cluster_batch", batch=len(qmat), k=k, ef=ef,
+                            shard_ef=shard_ef, shards=self.fanout) as sp:
+                parts = self.router.scatter(qmat, k, shard_ef)
+                # one child span per shard, carrying the worker-side
+                # engine counters that rode back on the RPC reply
+                for _gids, _dists, info in parts:
+                    with trace.span(f"shard-{info['shard']}", **info):
+                        pass
+                with trace.span("merge", shards=self.fanout, k=k):
+                    ids, dists = merge_topk([(g, d) for g, d, _ in parts], k)
+                sp.set(expansions=sum(
+                    info.get("expansions", 0) for _, _, info in parts))
+            shard_ms = [round(info.get("rpc_ms", 0.0), 3)
+                        for _, _, info in parts]
+            return ids, dists, {"shard_ef": shard_ef, "shard_ms": shard_ms}
+
+        return run, 0, {"shard_ef": shard_ef, "shards": self.fanout}
+
+    def stats(self) -> dict[str, Any]:
+        return {
+            "n_shards": self.fanout,
+            "n_replicas": self.config.n_replicas,
+            "backend": self.backend,
+            "router": self.router.stats(),
+        }
+
+    def start(self) -> None:
+        self.router.start()
+
+    def close(self) -> None:
+        self.router.close()
+
+
+CLUSTER_SPEC = FrontendSpec(
+    engine="cluster-client", noun="cluster client",
+    prefix=CLUSTER_METRICS_PREFIX,
+    start_event=Events.CLUSTER_START, stop_event=Events.CLUSTER_STOP,
+    batch_before=Events.CLUSTER_BATCH_BEFORE,
+    batch_after=Events.CLUSTER_BATCH_AFTER,
+)
+
+
+class ClusterClient(ServingFrontend):
     """:class:`~repro.serve.client.SearchClient` over a sharded cluster.
 
     Usage::
@@ -769,13 +832,11 @@ class ClusterClient:
                                                       n_replicas=2)) as client:
             res = client.query(query_vector, k=10)   # SearchResult
 
-    The serving envelope (admission queue, micro-batcher, two-phase
-    deadlines, shedding, result cache) is the same as
-    :class:`~repro.serve.server.KNNServer`'s; execution scatter-gathers
-    each micro-batch across the shards through the :class:`ShardRouter`
-    and reduces per-shard top-k with :func:`merge_topk`.  With the
-    ``"full"`` shard-ef policy and exhaustive beams the results are
-    bitwise identical to a flat index over the same points.
+    The same :class:`~repro.serve.frontend.ServingFrontend` as
+    :class:`~repro.serve.server.KNNServer`, over a
+    :class:`ScatterGatherExecutor`.  With the ``"full"`` shard-ef policy
+    and exhaustive beams the results are bitwise identical to a flat
+    index over the same points.
     """
 
     def __init__(
@@ -820,9 +881,7 @@ class ClusterClient:
                 f"config.n_shards={self.config.n_shards} but "
                 f"{len(shard_indexes)} shard indexes were supplied"
             )
-        self.obs = obs
         self.ranges = [(int(lo), int(hi)) for lo, hi in ranges]
-        self._dim = shard_indexes[0].dim
         self._n = expect
 
         backend = self.config.resolved_backend()
@@ -845,28 +904,17 @@ class ClusterClient:
                 readmit_after_s=self.config.readmit_after_s,
             ))
         self.router = ShardRouter(groups, self.config, obs=obs)
-
-        serve = self.config.serve
-        base_ef = serve.ef
-        if base_ef is None:
-            base_ef = int(getattr(shard_indexes[0].config, "ef", 32))
-        self._base_ef = base_ef
-        self.cache: ResultCache | None = (
-            ResultCache(serve.cache.size, serve.cache.decimals)
-            if serve.cache.size > 0 else None
+        super().__init__(
+            ScatterGatherExecutor(self.router, self.config, backend, obs),
+            self.config.serve, CLUSTER_SPEC,
+            dim=shard_indexes[0].dim, index_ef=index_ef(shard_indexes[0]),
+            start_payload={
+                "shards": self.n_shards, "replicas": self.config.n_replicas,
+                "backend": backend,
+                "shard_ef_policy": self.config.shard_ef_policy,
+            },
+            obs=obs,
         )
-        self.degradation = DegradationController(serve.shed)
-        self._queue: AdmissionQueue | None = None
-        self._batcher: MicroBatcher | None = None
-        self._accepting = False
-        self._lock = threading.Lock()
-        self.counters: dict[str, int] = {
-            "submitted": 0, "accepted": 0, "completed": 0, "rejected": 0,
-            "timeout_queued": 0, "timeout_late": 0, "cache_hits": 0,
-            "shed_served": 0, "batches": 0, "cancelled": 0,
-            "shard_errors": 0,
-        }
-        self._latencies_ok: list[float] = []
 
     # -- construction ----------------------------------------------------------
 
@@ -901,16 +949,6 @@ class ClusterClient:
         ]
         return cls(indexes, ranges, cfg, obs=obs)
 
-    # -- lifecycle -------------------------------------------------------------
-
-    @property
-    def running(self) -> bool:
-        return self._accepting
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
     @property
     def n(self) -> int:
         """Total points across all shards."""
@@ -920,327 +958,8 @@ class ClusterClient:
     def n_shards(self) -> int:
         return len(self.router.groups)
 
-    @property
-    def default_ef(self) -> int:
-        return self._base_ef
-
-    def start(self) -> "ClusterClient":
-        if self._accepting:
-            raise ConfigurationError("cluster client already started")
-        adm = self.config.serve.admission
-        self._queue = AdmissionQueue(adm.queue_limit)
-        self._batcher = MicroBatcher(
-            self._queue, self._execute,
-            max_batch=adm.max_batch, max_wait_s=adm.max_wait_ms / 1000.0,
-            n_workers=adm.n_workers,
-        )
-        self._batcher.start()
-        self.router.start()
-        self._accepting = True
-        self._emit(Events.CLUSTER_START, shards=self.n_shards,
-                   replicas=self.config.n_replicas, backend=self.backend,
-                   ef=self._base_ef,
-                   shard_ef_policy=self.config.shard_ef_policy)
-        return self
-
-    def stop(self, drain: bool = True, timeout: float | None = None) -> None:
-        """Stop accepting and shut batcher, router and replicas down."""
-        if self._queue is None:
-            return
-        self._accepting = False
-        queue, batcher = self._queue, self._batcher
-        if not drain:
-            dropped = queue.drain()
-            MicroBatcher.fail_all(
-                dropped, ServerClosed("cluster stopped before execution")
-            )
-            self._count("cancelled", len(dropped))
-        queue.close()
-        if batcher is not None:
-            batcher.stop(timeout=timeout)
-        self._queue = None
-        self._batcher = None
-        self.router.close()
-        self._emit(Events.CLUSTER_STOP, **self.counters)
-
-    def close(self) -> None:
-        """SearchClient protocol: graceful drain + full teardown."""
-        if self._accepting:
-            self.stop()
-        else:
-            self.router.close()
-
-    def __enter__(self) -> "ClusterClient":
-        if not self._accepting:
-            self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # -- chaos / test hooks ----------------------------------------------------
 
     def kill_replica(self, shard_id: int, replica_id: int) -> None:
         """Hard-kill one replica worker (the replica-outage drill)."""
         self.router.groups[shard_id].replicas[replica_id].kill()
-
-    # -- client API ------------------------------------------------------------
-
-    def submit(
-        self,
-        query: np.ndarray,
-        k: int | None = None,
-        *,
-        ef: int | None = None,
-        deadline_ms: float | None = None,
-    ) -> Future:
-        """Submit one query vector; future resolves to a SearchResult.
-
-        Identical admission semantics to
-        :meth:`repro.serve.server.KNNServer.submit`:
-        :class:`~repro.errors.ServerOverloaded` is raised synchronously,
-        deadline/closed failures arrive through the future.
-        """
-        queue = self._queue
-        if not self._accepting or queue is None:
-            raise ServerClosed("submit() on a stopped cluster client")
-        serve = self.config.serve
-        q = check_query_vector(query, self._dim, "query")
-        k = serve.default_k if k is None else check_positive_int(k, "k")
-        ef = self._base_ef if ef is None else check_positive_int(ef, "ef")
-        if deadline_ms is None:
-            deadline_ms = serve.deadline.default_ms
-        now = time.monotonic()
-        deadline = None if deadline_ms is None else now + deadline_ms / 1000.0
-
-        self._count("submitted")
-        req = Request(query=q, k=k, ef=ef, deadline=deadline, submitted=now)
-        if self.cache is not None:
-            req.cache_key = self.cache.key(q, k, ef)
-            hit = self.cache.get(req.cache_key)
-            if hit is not None:
-                ids, dists, served_ef = hit
-                self._count("cache_hits")
-                self._count("completed")
-                self._emit(Events.SERVE_CACHE_HIT, k=k, ef=ef)
-                self._observe_latency(time.monotonic() - now)
-                resolve(req.future, SearchResult(
-                    ids=ids.copy(), dists=dists.copy(), served_ef=served_ef,
-                    from_cache=True, shard_fanout=self.n_shards, batch_size=0,
-                    latency_ms=(time.monotonic() - now) * 1000.0,
-                ))
-                return req.future
-
-        if not queue.offer(req):
-            depth = queue.depth()
-            self._count("rejected")
-            self._emit(Events.SERVE_REQUEST_REJECTED, queue_depth=depth,
-                       limit=serve.admission.queue_limit)
-            raise ServerOverloaded(
-                f"admission queue full ({depth}/"
-                f"{serve.admission.queue_limit} pending); retry with backoff",
-                queue_depth=depth,
-            )
-        self._count("accepted")
-        self._gauge("queue_depth", queue.depth())
-        return req.future
-
-    def query(
-        self,
-        query: np.ndarray,
-        k: int | None = None,
-        *,
-        ef: int | None = None,
-        deadline_ms: float | None = None,
-        timeout: float | None = None,
-    ) -> SearchResult:
-        """Blocking convenience wrapper: ``submit(...).result()``."""
-        return self.submit(query, k, ef=ef, deadline_ms=deadline_ms) \
-            .result(timeout=timeout)
-
-    # -- batch execution -------------------------------------------------------
-
-    def _execute(self, batch: list[Request]) -> None:
-        now = time.monotonic()
-        queue = self._queue
-        depth = queue.depth() if queue is not None else 0
-
-        live: list[Request] = []
-        expired = 0
-        for req in batch:
-            if req.expired(now):
-                expired += 1
-                req.future.set_exception(DeadlineExceeded(
-                    f"deadline expired while queued "
-                    f"({(now - req.submitted) * 1000.0:.1f}ms in queue)"
-                ))
-            else:
-                live.append(req)
-        if expired:
-            self._count("timeout_queued", expired)
-            self._emit(Events.SERVE_REQUEST_TIMEOUT, phase="queued",
-                       count=expired)
-        if not live:
-            return
-
-        old_level = self.degradation.level
-        level = self.degradation.observe(
-            depth, self.config.serve.admission.queue_limit)
-        if level != old_level:
-            self._gauge("shed_level", level)
-            self._emit(Events.SERVE_SHED_CHANGE, old_level=old_level,
-                       new_level=level, queue_depth=depth)
-
-        groups: dict[tuple[int, int], list[Request]] = {}
-        for req in live:
-            groups.setdefault((req.k, req.ef), []).append(req)
-        for (k, ef), reqs in groups.items():
-            self._run_group(k, ef, reqs, depth)
-
-    def _run_group(self, k: int, ef: int, reqs: list[Request],
-                   depth: int) -> None:
-        served_ef = self.degradation.effective_ef(ef)
-        shed = served_ef < ef
-        shard_ef = self.config.shard_ef(served_ef, k)
-        qmat = np.stack([r.query for r in reqs], axis=0)
-        self._emit(Events.CLUSTER_BATCH_BEFORE, batch=len(reqs), k=k,
-                   ef=served_ef, shard_ef=shard_ef, shed=shed,
-                   queue_depth=depth, shards=self.n_shards)
-        t0 = time.monotonic()
-        for req in reqs:
-            self._observe_hist("queue_wait_seconds", t0 - req.submitted)
-
-        tracer = self.obs.trace if self.obs is not None else None
-        try:
-            if tracer is not None:
-                with tracer.span("cluster_batch", batch=len(reqs), k=k,
-                                 ef=served_ef, shard_ef=shard_ef,
-                                 shards=self.n_shards) as sp:
-                    parts = self.router.scatter(qmat, k, shard_ef)
-                    # one child span per shard, carrying the worker-side
-                    # engine counters that rode back on the RPC reply
-                    for _gids, _dists, info in parts:
-                        with tracer.span(f"shard-{info['shard']}", **info):
-                            pass
-                    with tracer.span("merge", shards=self.n_shards, k=k):
-                        ids, dists = merge_topk(
-                            [(g, d) for g, d, _ in parts], k)
-                    sp.set(expansions=sum(
-                        info.get("expansions", 0) for _, _, info in parts))
-            else:
-                parts = self.router.scatter(qmat, k, shard_ef)
-                ids, dists = merge_topk([(g, d) for g, d, _ in parts], k)
-        except ClusterError as exc:
-            # a whole shard is gone: fail this group (capacity degraded,
-            # never a partial/incorrect merge), keep serving other groups
-            self._count("shard_errors")
-            MicroBatcher.fail_all(reqs, exc)
-            return
-        seconds = time.monotonic() - t0
-        self._count("batches")
-        if shed:
-            self._count("shed_served", len(reqs))
-        self._observe_hist("batch_seconds", seconds)
-        self._observe_hist("batch_size", len(reqs))
-        self._emit(Events.CLUSTER_BATCH_AFTER, batch=len(reqs), k=k,
-                   ef=served_ef, shard_ef=shard_ef, shed=shed,
-                   seconds=seconds,
-                   shard_ms=[round(info.get("rpc_ms", 0.0), 3)
-                             for _, _, info in parts])
-
-        now = time.monotonic()
-        late = 0
-        for i, req in enumerate(reqs):
-            if req.expired(now):
-                late += 1
-                req.future.set_exception(DeadlineExceeded(
-                    f"execution finished "
-                    f"{(now - req.deadline) * 1000.0:.1f}ms past the deadline"
-                ))
-                continue
-            if self.cache is not None and req.cache_key is not None \
-                    and not shed:
-                self.cache.put(req.cache_key, (ids[i], dists[i], served_ef))
-            latency = now - req.submitted
-            self._observe_latency(latency)
-            self._count("completed")
-            resolve(req.future, SearchResult(
-                ids=ids[i], dists=dists[i], served_ef=served_ef,
-                from_cache=False, shard_fanout=self.n_shards,
-                latency_ms=latency * 1000.0, batch_size=len(reqs),
-            ))
-        if late:
-            self._count("timeout_late", late)
-            self._emit(Events.SERVE_REQUEST_TIMEOUT, phase="late", count=late)
-
-    # -- observability ---------------------------------------------------------
-
-    def _count(self, name: str, n: int = 1) -> None:
-        with self._lock:
-            self.counters[name] += n
-            if self.obs is not None:
-                self.obs.metrics.counter(
-                    CLUSTER_METRICS_PREFIX + name).inc(n)
-
-    def _emit(self, event: str, **payload: Any) -> None:
-        if self.obs is not None:
-            self.obs.hooks.emit(event, **payload)
-
-    def _gauge(self, name: str, value: float) -> None:
-        if self.obs is not None:
-            with self._lock:
-                self.obs.metrics.gauge(
-                    CLUSTER_METRICS_PREFIX + name).set(value)
-
-    def _observe_hist(self, name: str, value: float) -> None:
-        if self.obs is not None:
-            with self._lock:
-                self.obs.metrics.histogram(
-                    CLUSTER_METRICS_PREFIX + name).observe(value)
-
-    def _observe_latency(self, seconds: float) -> None:
-        with self._lock:
-            self._latencies_ok.append(seconds)
-            if len(self._latencies_ok) > 100_000:
-                del self._latencies_ok[: len(self._latencies_ok) // 2]
-        if self.obs is not None:
-            with self._lock:
-                self.obs.metrics.quantile_histogram(
-                    CLUSTER_METRICS_PREFIX + "latency_seconds"
-                ).observe(seconds)
-
-    def latency_percentiles(self) -> dict[str, float]:
-        """p50/p95/p99 (milliseconds) of successful responses so far."""
-        with self._lock:
-            lat = sorted(self._latencies_ok)
-        if not lat:
-            return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-
-        def pct(p: float) -> float:
-            idx = min(len(lat) - 1, int(round(p * (len(lat) - 1))))
-            return lat[idx] * 1000.0
-
-        return {"p50": pct(0.50), "p95": pct(0.95), "p99": pct(0.99)}
-
-    def stats(self) -> dict[str, Any]:
-        """Serving counters + queue state + router/replica health."""
-        queue = self._queue
-        with self._lock:
-            counters = dict(self.counters)
-        out: dict[str, Any] = {
-            "engine": "cluster-client",
-            "n_shards": self.n_shards,
-            "n_replicas": self.config.n_replicas,
-            "backend": self.backend,
-            **counters,
-            "timeouts": counters["timeout_queued"] + counters["timeout_late"],
-            "queue_depth": queue.depth() if queue is not None else 0,
-            "queue_limit": self.config.serve.admission.queue_limit,
-            "shed_level": self.degradation.level,
-            "shed_transitions": self.degradation.transitions,
-            "latency_ms": self.latency_percentiles(),
-            "router": self.router.stats(),
-        }
-        if self.cache is not None:
-            out["cache"] = self.cache.stats()
-        return out

@@ -5,7 +5,7 @@ blocks on :meth:`~repro.serve.queue.AdmissionQueue.take_batch`, which
 hands it coalesced micro-batches (flush on ``max_batch`` or
 ``max_wait_s``, whichever first), and dispatches each batch to a small
 :class:`~concurrent.futures.ThreadPoolExecutor` of *workers* that run the
-server's execute callback (the engine call).  Separating the two means
+frontend's execute callback (the engine call).  Separating the two means
 batch *formation* never stalls behind batch *execution*: while a worker
 scores one batch, the batcher is already coalescing the next - the
 pipelining that keeps the engine fed at full batch width under load.
@@ -20,7 +20,7 @@ one layer down.
 
 The scheduler is engine-agnostic: it moves :class:`Request` objects and
 calls ``execute(batch)``; deadlines, caching, degradation and metrics all
-live in the server's execute callback.
+live in the execute callback of :class:`~repro.serve.frontend.ServingFrontend`.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class Request:
     ``deadline`` is absolute :func:`time.monotonic` time (or ``None`` for
     no deadline); ``ef`` is the *requested* (full-quality) beam width -
     the shed policy may execute it lower.  The ``future`` resolves to a
-    :class:`~repro.serve.server.QueryResult` or raises one of the
+    :class:`~repro.serve.client.SearchResult` or raises one of the
     :mod:`repro.errors` serve exceptions.
     """
 
@@ -52,7 +52,6 @@ class Request:
     deadline: float | None
     submitted: float
     future: Future = field(default_factory=Future)
-    cache_key: bytes | None = None
 
     def expired(self, now: float) -> bool:
         return self.deadline is not None and now > self.deadline

@@ -1,74 +1,36 @@
-"""The online K-NN query server: admission, micro-batching, deadlines.
+"""The single-index online K-NN query server and the serving config.
 
-:class:`KNNServer` turns the batched query engine - a synchronous library
-call - into an online service shape: many client threads each submit one
-``(query_vector, k, ef, deadline)`` request and get a future back; the
-server coalesces concurrent requests into micro-batches, executes them on
-the underlying :class:`~repro.apps.search.GraphSearchIndex`, and resolves
-each future individually.  Around that core sit the production envelope
-pieces:
-
-* **admission control** - a bounded queue; past ``admission.queue_limit``,
-  :meth:`KNNServer.submit` raises :class:`~repro.errors.ServerOverloaded`
-  synchronously (backpressure beats unbounded queueing);
-* **deadline enforcement** - requests whose deadline expires while queued
-  are dropped *before* scoring; results that complete past the deadline
-  are returned as :class:`~repro.errors.DeadlineExceeded`, never as late
-  successes;
-* **graceful degradation** - sustained queue growth sheds the beam width
-  ``ef`` (see :mod:`repro.serve.degrade`), trading a little recall for a
-  lot of latency, mirroring the build-time strategy crossover;
-* **result caching** - an optional LRU keyed on quantized query bytes
-  (:mod:`repro.serve.cache`); hits resolve at submit time without ever
-  touching the engine.
+:class:`KNNServer` turns the batched query engine into an online service:
+many client threads each submit one ``(query_vector, k, ef, deadline)``
+request and get a future back.  It is the
+:class:`~repro.serve.frontend.ServingFrontend` (admission, micro-batching,
+deadlines, shedding, the epoch-keyed cache, ``serve/*`` metrics and
+``SERVE_*`` events) over a :class:`LocalExecutor`, which answers each
+``(k, ef)`` group with one ``search`` call on the index's pinned view.
 
 Configuration is the frozen, sectioned :class:`ServeConfig`
 (:class:`AdmissionPolicy` / :class:`DeadlinePolicy` / :class:`CachePolicy`
-/ :class:`~repro.serve.degrade.ShedPolicy`); the historical flat keyword
-surface still constructs for one release with a ``DeprecationWarning``.
-The server implements the :class:`~repro.serve.client.SearchClient`
-protocol, so callers written against the protocol can swap it for the
-sharded :class:`~repro.serve.cluster.ClusterClient` unchanged.
-
-Everything is observable: ``serve/*`` metrics (counters, queue-depth and
-shed-level gauges, p50/p95/p99 latency quantile histograms) and
-``SERVE_*`` profiling hook events.
+/ :class:`QuantizationPolicy` / :class:`~repro.serve.degrade.ShedPolicy`),
+shared with :class:`~repro.serve.cluster.ClusterConfig`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
-import time
-import warnings
-from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
 
-from repro.errors import (
-    ConfigurationError,
-    DeadlineExceeded,
-    ServerClosed,
-    ServerOverloaded,
-)
+from repro.errors import ConfigurationError
 from repro.obs import Events, Observability
-from repro.serve.cache import ResultCache
-from repro.serve.client import SearchResult
-from repro.serve.degrade import DegradationController, ShedPolicy
-from repro.serve.queue import AdmissionQueue
-from repro.serve.scheduler import MicroBatcher, Request, resolve
-from repro.utils.validation import (
-    check_positive_int,
-    check_query_vector,
-)
+from repro.serve.client import engine_view, index_ef
+from repro.serve.degrade import ShedPolicy
+from repro.serve.frontend import Executor, FrontendSpec, GroupCall, ServingFrontend
+from repro.utils.validation import check_positive_int
 
 #: registry namespace the serving metrics emit under
 SERVE_METRICS_PREFIX = "serve/"
-
-#: deprecated alias of :class:`~repro.serve.client.SearchResult`
-QueryResult = SearchResult
 
 
 @dataclass(frozen=True)
@@ -178,26 +140,16 @@ class QuantizationPolicy:
         return {"quantization": self.mode, "rerank": self.rerank}
 
 
-#: deprecated flat kwarg -> (section field, field inside the section)
-_FLAT_FIELDS: dict[str, tuple[str, str]] = {
-    "max_batch": ("admission", "max_batch"),
-    "max_wait_ms": ("admission", "max_wait_ms"),
-    "queue_limit": ("admission", "queue_limit"),
-    "n_workers": ("admission", "n_workers"),
-    "default_deadline_ms": ("deadline", "default_ms"),
-    "cache_size": ("cache", "size"),
-    "cache_decimals": ("cache", "decimals"),
-}
-
 _SECTION_TYPES = {
     "admission": AdmissionPolicy,
     "deadline": DeadlinePolicy,
     "cache": CachePolicy,
     "quant": QuantizationPolicy,
+    "shed": ShedPolicy,
 }
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ServeConfig:
     """Serving parameters, grouped into frozen policy sections.
 
@@ -220,142 +172,74 @@ class ServeConfig:
         Full-quality beam width served at (``None`` = the index's
         configured ``ef``).
 
-    The pre-redesign flat keywords (``max_batch``, ``max_wait_ms``,
-    ``queue_limit``, ``n_workers``, ``default_deadline_ms``,
-    ``cache_size``, ``cache_decimals``) still construct - applied on top
-    of the matching section - but emit a ``DeprecationWarning`` and will
-    be removed next release; the same names remain readable as
-    properties.  ``from_dict``/``as_dict`` round-trip the nested form for
-    CLI/JSON use.
+    ``from_dict``/``as_dict`` round-trip the nested form for CLI/JSON use.
     """
 
-    admission: AdmissionPolicy
-    deadline: DeadlinePolicy
-    cache: CachePolicy
-    quant: QuantizationPolicy
-    shed: ShedPolicy
-    default_k: int
-    ef: int | None
+    admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
+    deadline: DeadlinePolicy = field(default_factory=DeadlinePolicy)
+    cache: CachePolicy = field(default_factory=CachePolicy)
+    quant: QuantizationPolicy = field(default_factory=QuantizationPolicy)
+    shed: ShedPolicy = field(default_factory=ShedPolicy)
+    default_k: int = 10
+    ef: int | None = None
 
-    def __init__(
-        self,
-        admission: AdmissionPolicy | None = None,
-        deadline: DeadlinePolicy | None = None,
-        cache: CachePolicy | None = None,
-        quant: QuantizationPolicy | None = None,
-        shed: ShedPolicy | None = None,
-        default_k: int = 10,
-        ef: int | None = None,
-        **flat: Any,
-    ) -> None:
-        if flat:
-            known = sorted(set(flat) & set(_FLAT_FIELDS))
-            unknown = sorted(set(flat) - set(_FLAT_FIELDS))
-            if unknown:
-                raise TypeError(
-                    f"unknown ServeConfig argument(s) {unknown}; "
-                    f"sections: admission/deadline/cache/shed"
-                )
-            warnings.warn(
-                f"flat ServeConfig keyword(s) {known} are deprecated; pass "
-                f"the admission=/deadline=/cache= sections instead "
-                f"(docs/serving.md has the migration table)",
-                DeprecationWarning, stacklevel=2,
-            )
-        sections: dict[str, Any] = {
-            "admission": admission, "deadline": deadline, "cache": cache,
-            "quant": quant,
-        }
-        overrides: dict[str, dict[str, Any]] = {
-            name: {} for name in _SECTION_TYPES
-        }
-        for key, value in flat.items():
-            section, field_name = _FLAT_FIELDS[key]
-            overrides[section][field_name] = value
-        for name, cls_ in _SECTION_TYPES.items():
-            current = sections[name]
-            if current is None:
-                current = cls_(**overrides[name])
-            elif overrides[name]:
-                current = dataclasses.replace(current, **overrides[name])
-            object.__setattr__(self, name, current)
-        object.__setattr__(self, "shed", shed or ShedPolicy())
+    def __post_init__(self) -> None:
         object.__setattr__(
-            self, "default_k", check_positive_int(default_k, "default_k"))
-        object.__setattr__(
-            self, "ef", None if ef is None else check_positive_int(ef, "ef"))
-
-    # -- deprecated flat read surface (kept one release) -----------------------
-
-    @property
-    def max_batch(self) -> int:
-        return self.admission.max_batch
-
-    @property
-    def max_wait_ms(self) -> float:
-        return self.admission.max_wait_ms
-
-    @property
-    def queue_limit(self) -> int:
-        return self.admission.queue_limit
-
-    @property
-    def n_workers(self) -> int:
-        return self.admission.n_workers
-
-    @property
-    def default_deadline_ms(self) -> float | None:
-        return self.deadline.default_ms
-
-    @property
-    def cache_size(self) -> int:
-        return self.cache.size
-
-    @property
-    def cache_decimals(self) -> int:
-        return self.cache.decimals
+            self, "default_k", check_positive_int(self.default_k, "default_k"))
+        if self.ef is not None:
+            object.__setattr__(self, "ef", check_positive_int(self.ef, "ef"))
 
     # -- JSON / CLI round-trip --------------------------------------------------
 
     def as_dict(self) -> dict[str, Any]:
         """Nested plain-dict form (the inverse of :meth:`from_dict`)."""
-        return {
-            "admission": dataclasses.asdict(self.admission),
-            "deadline": dataclasses.asdict(self.deadline),
-            "cache": dataclasses.asdict(self.cache),
-            "quant": dataclasses.asdict(self.quant),
-            "shed": dataclasses.asdict(self.shed),
-            "default_k": self.default_k,
-            "ef": self.ef,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, mapping: Mapping[str, Any]) -> "ServeConfig":
-        """Build a config from the nested dict form.
-
-        Flat legacy keys are accepted too (forwarded through the
-        deprecation path), so configs serialized before the redesign
-        still load.
-        """
+        """Build a config from the nested dict form."""
         data = dict(mapping)
-        kwargs: dict[str, Any] = {}
         for name, cls_ in _SECTION_TYPES.items():
-            if name in data:
-                section = data.pop(name)
-                kwargs[name] = (
-                    section if isinstance(section, cls_) else cls_(**section)
-                )
-        if "shed" in data:
-            shed = data.pop("shed")
-            kwargs["shed"] = (
-                shed if isinstance(shed, ShedPolicy) else ShedPolicy(**shed)
-            )
-        kwargs.update(data)
-        return cls(**kwargs)
+            if name in data and not isinstance(data[name], cls_):
+                data[name] = cls_(**data[name])
+        return cls(**data)
 
 
-class KNNServer:
-    """Micro-batching online query service over a fitted search index.
+class LocalExecutor(Executor):
+    """Frontend executor over one in-process index.
+
+    Pins the index's view once per ``(k, ef)`` group - a mutable index's
+    current ``snapshot``, so a group never mixes two graph versions while
+    the writer flips epochs - and makes one ``search`` call on it.
+    """
+
+    def __init__(self, index: Any) -> None:
+        self.index = index
+
+    def epoch(self) -> int:
+        return int(getattr(engine_view(self.index), "epoch", 0))
+
+    def pin(self, k: int, ef: int) -> tuple[GroupCall, int, dict[str, Any]]:
+        view = engine_view(self.index)
+        epoch = int(getattr(view, "epoch", 0))
+
+        def run(qmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+            ids, dists = view.search(qmat, k, ef=ef)
+            return ids, dists, {}
+
+        return run, epoch, {"epoch": epoch}
+
+
+SERVER_SPEC = FrontendSpec(
+    engine="knn-server", noun="server", prefix=SERVE_METRICS_PREFIX,
+    start_event=Events.SERVE_START, stop_event=Events.SERVE_STOP,
+    batch_before=Events.SERVE_BATCH_BEFORE,
+    batch_after=Events.SERVE_BATCH_AFTER,
+)
+
+
+class KNNServer(ServingFrontend):
+    """The serving frontend over one fitted search index.
 
     Usage::
 
@@ -366,10 +250,8 @@ class KNNServer:
             result = fut.result()          # SearchResult (or raises)
 
     The index must expose ``search(queries, k, *, ef=None)`` over a fixed
-    dimensionality ``dim`` - :class:`~repro.apps.search.GraphSearchIndex`
-    is the intended engine.  One server instance is safe to submit to
-    from any number of threads, and implements the
-    :class:`~repro.serve.client.SearchClient` protocol.
+    ``dim``: a :class:`~repro.apps.search.GraphSearchIndex` or a
+    :class:`~repro.core.mutable.MutableIndex`.
     """
 
     def __init__(
@@ -378,376 +260,11 @@ class KNNServer:
         config: ServeConfig | None = None,
         *,
         obs: Observability | None = None,
-        **flat: Any,
     ) -> None:
-        if flat:
-            if config is not None:
-                raise ConfigurationError(
-                    "pass either a ServeConfig or flat keyword arguments, "
-                    "not both"
-                )
-            # ServeConfig emits the DeprecationWarning for the flat names
-            config = ServeConfig(**flat)
         self.index = index
         self.config = config or ServeConfig()
-        self.obs = obs
-        self._dim = int(index.dim)
-        base_ef = self.config.ef
-        if base_ef is None:
-            base_ef = int(getattr(getattr(index, "config", None), "ef", 32))
-        self._base_ef = base_ef
-        cache_cfg = self.config.cache
-        self.cache: ResultCache | None = (
-            ResultCache(cache_cfg.size, cache_cfg.decimals)
-            if cache_cfg.size > 0 else None
+        super().__init__(
+            LocalExecutor(index), self.config, SERVER_SPEC,
+            dim=index.dim, index_ef=index_ef(index),
+            start_payload=dataclasses.asdict(self.config.admission), obs=obs,
         )
-        self.degradation = DegradationController(self.config.shed)
-        self._queue: AdmissionQueue | None = None
-        self._batcher: MicroBatcher | None = None
-        self._accepting = False
-        self._lock = threading.Lock()  # guards counters + obs emission
-        self.counters: dict[str, int] = {
-            "submitted": 0, "accepted": 0, "completed": 0, "rejected": 0,
-            "timeout_queued": 0, "timeout_late": 0, "cache_hits": 0,
-            "shed_served": 0, "batches": 0, "cancelled": 0,
-        }
-        self._latencies_ok: list[float] = []
-
-    # -- lifecycle -------------------------------------------------------------
-
-    @property
-    def running(self) -> bool:
-        return self._accepting
-
-    @property
-    def dim(self) -> int:
-        """Query dimensionality (SearchClient protocol)."""
-        return self._dim
-
-    @property
-    def default_ef(self) -> int:
-        """The full-quality beam width served by default (protocol)."""
-        return self._base_ef
-
-    def start(self) -> "KNNServer":
-        if self._accepting:
-            raise ConfigurationError("server already started")
-        adm = self.config.admission
-        self._queue = AdmissionQueue(adm.queue_limit)
-        self._batcher = MicroBatcher(
-            self._queue, self._execute,
-            max_batch=adm.max_batch, max_wait_s=adm.max_wait_ms / 1000.0,
-            n_workers=adm.n_workers,
-        )
-        self._batcher.start()
-        self._accepting = True
-        self._emit(Events.SERVE_START, max_batch=adm.max_batch,
-                   max_wait_ms=adm.max_wait_ms, queue_limit=adm.queue_limit,
-                   n_workers=adm.n_workers, ef=self._base_ef)
-        return self
-
-    def stop(self, drain: bool = True, timeout: float | None = None) -> None:
-        """Stop accepting and shut the batcher down.
-
-        With ``drain=True`` (default) every queued request is still
-        executed before the batcher exits; with ``drain=False`` queued
-        requests fail with :class:`~repro.errors.ServerClosed`.
-        """
-        if self._queue is None:
-            return
-        self._accepting = False
-        queue, batcher = self._queue, self._batcher
-        if not drain:
-            dropped = queue.drain()
-            MicroBatcher.fail_all(
-                dropped, ServerClosed("server stopped before execution")
-            )
-            self._count("cancelled", len(dropped))
-        queue.close()
-        if batcher is not None:
-            batcher.stop(timeout=timeout)
-        self._queue = None
-        self._batcher = None
-        self._emit(Events.SERVE_STOP, **self.counters)
-
-    def close(self) -> None:
-        """SearchClient protocol alias of :meth:`stop` (graceful drain)."""
-        self.stop()
-
-    def __enter__(self) -> "KNNServer":
-        if not self._accepting:
-            self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # -- client API ------------------------------------------------------------
-
-    def submit(
-        self,
-        query: np.ndarray,
-        k: int | None = None,
-        *,
-        ef: int | None = None,
-        deadline_ms: float | None = None,
-    ) -> Future:
-        """Submit one query vector; returns a future.
-
-        The future resolves to a :class:`~repro.serve.client.SearchResult`,
-        or raises :class:`~repro.errors.DeadlineExceeded` /
-        :class:`~repro.errors.ServerClosed`.  Admission failures are
-        synchronous: :class:`~repro.errors.ServerOverloaded` is raised
-        *here*, not set on a future, so callers feel backpressure
-        immediately.
-        """
-        queue = self._queue
-        if not self._accepting or queue is None:
-            raise ServerClosed("submit() on a stopped server")
-        cfg = self.config
-        q = check_query_vector(query, self._dim, "query")
-        k = cfg.default_k if k is None else check_positive_int(k, "k")
-        ef = self._base_ef if ef is None else check_positive_int(ef, "ef")
-        if deadline_ms is None:
-            deadline_ms = cfg.deadline.default_ms
-        now = time.monotonic()
-        deadline = None if deadline_ms is None else now + deadline_ms / 1000.0
-
-        self._count("submitted")
-
-        req = Request(query=q, k=k, ef=ef, deadline=deadline, submitted=now)
-        if self.cache is not None:
-            # the lookup key carries the *current* epoch: after a mutable
-            # index flips, entries computed against older graphs become
-            # structurally unreachable (zero stale hits by construction)
-            epoch = int(getattr(self._engine_view(), "epoch", 0))
-            req.cache_key = self.cache.key(q, k, ef, epoch)
-            hit = self.cache.get(req.cache_key)
-            if hit is not None:
-                ids, dists, served_ef = hit
-                self._count("cache_hits")
-                self._count("completed")
-                self._emit(Events.SERVE_CACHE_HIT, k=k, ef=ef, epoch=epoch)
-                self._observe_latency(time.monotonic() - now)
-                resolve(req.future, SearchResult(
-                    ids=ids.copy(), dists=dists.copy(), served_ef=served_ef,
-                    from_cache=True, shard_fanout=1, batch_size=0,
-                    latency_ms=(time.monotonic() - now) * 1000.0,
-                    epoch=epoch,
-                ))
-                return req.future
-
-        if not queue.offer(req):
-            depth = queue.depth()
-            self._count("rejected")
-            self._emit(Events.SERVE_REQUEST_REJECTED, queue_depth=depth,
-                       limit=cfg.admission.queue_limit)
-            raise ServerOverloaded(
-                f"admission queue full ({depth}/{cfg.admission.queue_limit} "
-                f"pending); retry with backoff", queue_depth=depth,
-            )
-        self._count("accepted")
-        self._gauge("queue_depth", queue.depth())
-        return req.future
-
-    def query(
-        self,
-        query: np.ndarray,
-        k: int | None = None,
-        *,
-        ef: int | None = None,
-        deadline_ms: float | None = None,
-        timeout: float | None = None,
-    ) -> SearchResult:
-        """Blocking convenience wrapper: ``submit(...).result()``."""
-        return self.submit(query, k, ef=ef, deadline_ms=deadline_ms) \
-            .result(timeout=timeout)
-
-    # -- batch execution (worker threads) --------------------------------------
-
-    def _execute(self, batch: list[Request]) -> None:
-        now = time.monotonic()
-        queue = self._queue
-        depth = queue.depth() if queue is not None else 0
-
-        # deadline enforcement, part 1: drop requests that expired while
-        # queued before spending any engine work on them
-        live: list[Request] = []
-        expired = 0
-        for req in batch:
-            if req.expired(now):
-                expired += 1
-                req.future.set_exception(DeadlineExceeded(
-                    f"deadline expired while queued "
-                    f"({(now - req.submitted) * 1000.0:.1f}ms in queue)"
-                ))
-            else:
-                live.append(req)
-        if expired:
-            self._count("timeout_queued", expired)
-            self._emit(Events.SERVE_REQUEST_TIMEOUT, phase="queued",
-                       count=expired)
-        if not live:
-            return
-
-        # degradation: one queue-pressure observation per flush
-        old_level = self.degradation.level
-        level = self.degradation.observe(
-            depth, self.config.admission.queue_limit
-        )
-        if level != old_level:
-            self._gauge("shed_level", level)
-            self._emit(Events.SERVE_SHED_CHANGE, old_level=old_level,
-                       new_level=level, queue_depth=depth)
-
-        # group by (k, requested ef): each group is one engine call
-        groups: dict[tuple[int, int], list[Request]] = {}
-        for req in live:
-            groups.setdefault((req.k, req.ef), []).append(req)
-        for (k, ef), reqs in groups.items():
-            self._run_group(k, ef, reqs, depth)
-
-    def _engine_view(self) -> Any:
-        """The engine to run searches against.
-
-        A mutable index exposes its current epoch-stamped snapshot as a
-        ``snapshot`` attribute; pinning that one reference for a whole
-        micro-batch guarantees every request of the batch is answered
-        from one consistent graph even while the writer flips epochs
-        underneath.  (``DynamicKNNG.snapshot`` is a *method* - the
-        callable check keeps the server treating it as a plain engine.)
-        Static indexes are their own view, at implicit epoch 0.
-        """
-        view = getattr(self.index, "snapshot", None)
-        if view is None or callable(view):
-            return self.index
-        return view
-
-    def _run_group(self, k: int, ef: int, reqs: list[Request],
-                   depth: int) -> None:
-        served_ef = self.degradation.effective_ef(ef)
-        shed = served_ef < ef
-        qmat = np.stack([r.query for r in reqs], axis=0)
-        # one snapshot for the whole micro-batch: epoch flips between
-        # here and resolution cannot tear this group's results
-        view = self._engine_view()
-        epoch = int(getattr(view, "epoch", 0))
-        self._emit(Events.SERVE_BATCH_BEFORE, batch=len(reqs), k=k,
-                   ef=served_ef, shed=shed, queue_depth=depth, epoch=epoch)
-        t0 = time.monotonic()
-        for req in reqs:
-            self._observe_hist("queue_wait_seconds", t0 - req.submitted)
-        ids, dists = view.search(qmat, k, ef=served_ef)
-        seconds = time.monotonic() - t0
-        self._count("batches")
-        if shed:
-            self._count("shed_served", len(reqs))
-        self._observe_hist("batch_seconds", seconds)
-        self._observe_hist("batch_size", len(reqs))
-        self._emit(Events.SERVE_BATCH_AFTER, batch=len(reqs), k=k,
-                   ef=served_ef, shed=shed, seconds=seconds)
-
-        now = time.monotonic()
-        late = 0
-        for i, req in enumerate(reqs):
-            # deadline enforcement, part 2: a result completed past its
-            # deadline is a timeout, never a late success
-            if req.expired(now):
-                late += 1
-                req.future.set_exception(DeadlineExceeded(
-                    f"execution finished {(now - req.deadline) * 1000.0:.1f}ms "
-                    f"past the deadline"
-                ))
-                continue
-            if self.cache is not None and req.cache_key is not None and not shed:
-                # store under the epoch actually *served*, not the one the
-                # key was cut with at submit time - if a flip landed in
-                # between, the entry must be findable by post-flip lookups
-                # and unreachable from pre-flip ones
-                self.cache.put(
-                    self.cache.key(req.query, k, ef, epoch),
-                    (ids[i], dists[i], served_ef),
-                )
-            latency = now - req.submitted
-            self._observe_latency(latency)
-            self._count("completed")
-            resolve(req.future, SearchResult(
-                ids=ids[i], dists=dists[i], served_ef=served_ef,
-                from_cache=False, shard_fanout=1,
-                latency_ms=latency * 1000.0, batch_size=len(reqs),
-                epoch=epoch,
-            ))
-        if late:
-            self._count("timeout_late", late)
-            self._emit(Events.SERVE_REQUEST_TIMEOUT, phase="late", count=late)
-
-    # -- observability ---------------------------------------------------------
-
-    def _count(self, name: str, n: int = 1) -> None:
-        """Bump a serving counter, mirrored into the obs registry.
-
-        The mirror is what makes shed/reject/timeout accounting visible
-        in an exported trace (``serve/<name>`` counters), not just in
-        :meth:`stats`.
-        """
-        with self._lock:
-            self.counters[name] += n
-            if self.obs is not None:
-                self.obs.metrics.counter(SERVE_METRICS_PREFIX + name).inc(n)
-
-    def _emit(self, event: str, **payload: Any) -> None:
-        if self.obs is not None:
-            self.obs.hooks.emit(event, **payload)
-
-    def _gauge(self, name: str, value: float) -> None:
-        if self.obs is not None:
-            with self._lock:
-                self.obs.metrics.gauge(SERVE_METRICS_PREFIX + name).set(value)
-
-    def _observe_hist(self, name: str, value: float) -> None:
-        if self.obs is not None:
-            with self._lock:
-                self.obs.metrics.histogram(
-                    SERVE_METRICS_PREFIX + name
-                ).observe(value)
-
-    def _observe_latency(self, seconds: float) -> None:
-        with self._lock:
-            self._latencies_ok.append(seconds)
-            if len(self._latencies_ok) > 100_000:
-                del self._latencies_ok[: len(self._latencies_ok) // 2]
-        if self.obs is not None:
-            with self._lock:
-                self.obs.metrics.quantile_histogram(
-                    SERVE_METRICS_PREFIX + "latency_seconds"
-                ).observe(seconds)
-
-    def latency_percentiles(self) -> dict[str, float]:
-        """p50/p95/p99 (milliseconds) of successful responses so far."""
-        with self._lock:
-            lat = sorted(self._latencies_ok)
-        if not lat:
-            return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-        def pct(p: float) -> float:
-            idx = min(len(lat) - 1, int(round(p * (len(lat) - 1))))
-            return lat[idx] * 1000.0
-        return {"p50": pct(0.50), "p95": pct(0.95), "p99": pct(0.99)}
-
-    def stats(self) -> dict[str, Any]:
-        """A snapshot of the serving counters, queue state and latencies."""
-        queue = self._queue
-        with self._lock:
-            counters = dict(self.counters)
-        out: dict[str, Any] = {
-            "engine": "knn-server",
-            **counters,
-            "timeouts": counters["timeout_queued"] + counters["timeout_late"],
-            "queue_depth": queue.depth() if queue is not None else 0,
-            "queue_limit": self.config.admission.queue_limit,
-            "shed_level": self.degradation.level,
-            "shed_transitions": self.degradation.transitions,
-            "latency_ms": self.latency_percentiles(),
-        }
-        if self.cache is not None:
-            out["cache"] = self.cache.stats()
-        return out

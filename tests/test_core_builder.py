@@ -115,13 +115,6 @@ class TestReport:
         assert stats["max_leaf_size"] <= 48
         assert stats["n_leaves"] >= 600 / 48 * 4
 
-    def test_last_report_deprecated_but_working(self, small_clustered):
-        builder = WKNNGBuilder(cfg())
-        graph = builder.build(small_clustered)
-        with pytest.warns(DeprecationWarning, match="return_report"):
-            rep = builder.last_report
-        assert rep is graph.report
-
     def test_meta_carries_report(self, small_clustered):
         graph = WKNNGBuilder(cfg()).build(small_clustered)
         assert graph.meta["algorithm"] == "w-knng"

@@ -254,12 +254,6 @@ class TestBuilderApi:
         graph = WKNNGBuilder(cfg()).build(small_clustered)
         assert isinstance(graph.report, BuildReport)
 
-    def test_last_report_warns_but_matches(self, small_clustered):
-        builder = WKNNGBuilder(cfg())
-        graph = builder.build(small_clustered)
-        with pytest.warns(DeprecationWarning):
-            assert builder.last_report is graph.report
-
     def test_new_api_emits_no_deprecation_warning(self, small_clustered):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

@@ -1,10 +1,12 @@
 """Tests for the ``repro.serve`` online query service.
 
-Covers the ISSUE's required scheduler edge cases (empty flush on
-shutdown, deadline expiring while queued, single request below
-``max_wait_ms``, cache hits bypassing the engine, batch-size-independent
-determinism) plus the admission queue, degradation controller, result
-cache, overload behaviour and obs integration.
+Covers the scheduler edge cases (empty flush on shutdown, single request
+below ``max_wait_ms``, batch-size-independent determinism, draining
+shutdown) plus the admission queue, degradation controller, result
+cache, query validation, obs integration and the load generators.  The
+envelope guarantees shared by ``KNNServer`` and ``ClusterClient`` -
+cache hits, overload, deadlines, shedding, shutdown - are asserted once
+over both in ``test_serve_frontend.py``.
 """
 
 import threading
@@ -15,11 +17,6 @@ import pytest
 
 from repro.apps.search import GraphSearchIndex, SearchConfig
 from repro.core.config import BuildConfig
-from repro.errors import (
-    DeadlineExceeded,
-    ServerClosed,
-    ServerOverloaded,
-)
 from repro.obs import Events, Observability
 from repro.serve import (
     AdmissionPolicy,
@@ -198,20 +195,6 @@ class TestSchedulerEdgeCases:
         server.start()
         server.stop(timeout=5.0)
 
-    def test_deadline_expiring_while_queued(self, index, queries):
-        """An expired request is dropped before scoring, not after."""
-        counting = CountingIndex(index)
-        server = KNNServer(counting, ServeConfig(admission=AdmissionPolicy(
-            max_batch=64, max_wait_ms=120.0, queue_limit=8)))
-        with server:
-            fut = server.submit(queries[0], 5, deadline_ms=1.0)
-            with pytest.raises(DeadlineExceeded, match="while queued"):
-                fut.result(timeout=10.0)
-        assert counting.calls == 0            # never reached the engine
-        stats = server.stats()
-        assert stats["timeout_queued"] == 1
-        assert stats["completed"] == 0
-
     def test_single_request_below_max_wait(self, index, queries):
         """A lone request flushes on the timer as a batch of one."""
         server = KNNServer(index, ServeConfig(admission=AdmissionPolicy(max_batch=64, max_wait_ms=30.0)))
@@ -223,21 +206,6 @@ class TestSchedulerEdgeCases:
         assert res.ids.shape == (5,)
         assert waited >= 0.025                # sat out the coalescing window
         assert server.stats()["completed"] == 1
-
-    def test_cache_hit_bypasses_engine(self, index, queries):
-        counting = CountingIndex(index)
-        server = KNNServer(counting, ServeConfig(
-            admission=AdmissionPolicy(max_batch=8, max_wait_ms=1.0),
-            cache=CachePolicy(size=32)))
-        with server:
-            first = server.query(queries[0], 5, timeout=10.0)
-            calls_after_first = counting.calls
-            second = server.query(queries[0], 5, timeout=10.0)
-        assert not first.from_cache and second.from_cache
-        assert counting.calls == calls_after_first   # no extra engine call
-        assert np.array_equal(first.ids, second.ids)
-        assert np.allclose(first.dists, second.dists)
-        assert server.stats()["cache_hits"] == 1
 
     @pytest.mark.parametrize("max_batch", [1, 7, 64])
     def test_deterministic_for_any_max_batch(self, index, queries, max_batch):
@@ -261,28 +229,8 @@ class TestSchedulerEdgeCases:
         for f in futs:
             assert f.result(timeout=1.0).ids.shape == (5,)
 
-    def test_shutdown_without_drain_fails_pending(self, index, queries):
-        server = KNNServer(index, ServeConfig(admission=AdmissionPolicy(
-            max_batch=64, max_wait_ms=5000.0)))  # huge window: stays queued
-        server.start()
-        fut = server.submit(queries[0], 5)
-        # the batcher may already hold the request; only assert the
-        # contract for requests still in the queue at stop time
-        server.stop(drain=False, timeout=10.0)
-        try:
-            fut.result(timeout=1.0)
-        except ServerClosed:
-            pass
-
 
 class TestServerProtocol:
-    def test_submit_after_stop_raises(self, index, queries):
-        server = KNNServer(index)
-        server.start()
-        server.stop()
-        with pytest.raises(ServerClosed):
-            server.submit(queries[0], 5)
-
     def test_validation_at_the_boundary(self, index, queries):
         with KNNServer(index) as server:
             with pytest.raises(ValueError, match="dimension"):
@@ -300,110 +248,6 @@ class TestServerProtocol:
         with KNNServer(index, ServeConfig(admission=AdmissionPolicy(max_wait_ms=1.0))) as server:
             res = server.query(queries[:1], 5, timeout=10.0)
         assert res.ids.shape == (5,)
-
-    def test_overload_rejection_is_synchronous(self, index, queries):
-        """Past the high-water mark submit raises ServerOverloaded."""
-
-        class SlowIndex(CountingIndex):
-            def search(self, q, k, *, ef=None):
-                time.sleep(0.05)
-                return super().search(q, k, ef=ef)
-
-        server = KNNServer(SlowIndex(index), ServeConfig(admission=AdmissionPolicy(
-            max_batch=1, max_wait_ms=0.0, queue_limit=4)))
-        server.start()
-        try:
-            rejected = 0
-            for i in range(32):
-                try:
-                    server.submit(queries[i % queries.shape[0]], 5)
-                except ServerOverloaded as exc:
-                    rejected += 1
-                    assert exc.queue_depth >= 4
-            # 4 queue slots + at most 2 batches held by the scheduler can
-            # be admitted before the submit burst outruns the slow worker
-            assert rejected >= 32 - 4 - 2 - 4
-            assert rejected > 0
-            assert server.stats()["rejected"] == rejected
-        finally:
-            server.stop(drain=True, timeout=60.0)
-
-    def test_late_result_is_timeout_not_success(self, index):
-        """A result finishing past its deadline resolves as DeadlineExceeded."""
-
-        class SlowIndex(CountingIndex):
-            def search(self, q, k, *, ef=None):
-                time.sleep(0.08)
-                return super().search(q, k, ef=ef)
-
-        slow = SlowIndex(index)
-        q0 = index._engine._x[0]
-        server = KNNServer(slow, ServeConfig(admission=AdmissionPolicy(max_batch=4, max_wait_ms=1.0)))
-        with server:
-            fut = server.submit(q0, 5, deadline_ms=40.0)
-            with pytest.raises(DeadlineExceeded, match="past the deadline"):
-                fut.result(timeout=10.0)
-        assert slow.calls == 1                # it *was* scored, then discarded
-        assert server.stats()["timeout_late"] == 1
-
-    def test_shed_reduces_ef_and_recovers(self, index):
-        """Sustained queue pressure sheds ef; results still arrive."""
-
-        class SlowIndex(CountingIndex):
-            def __init__(self, inner):
-                super().__init__(inner)
-                self.efs = []
-
-            def search(self, q, k, *, ef=None):
-                with self.lock:
-                    self.efs.append(ef)
-                time.sleep(0.02)
-                return self.inner.search(q, k, ef=ef)
-
-        slow = SlowIndex(index)
-        x = index._engine._x
-        server = KNNServer(slow, ServeConfig(
-            admission=AdmissionPolicy(max_batch=2, max_wait_ms=1.0,
-                                      queue_limit=10),
-            ef=32,
-            shed=ShedPolicy(high_water=0.3, low_water=0.05,
-                            step_up_after=1, step_down_after=2,
-                            factor=0.5, min_ef=8, max_level=2),
-        ))
-        obs_events = []
-        server.obs = Observability()
-        server.obs.hooks.subscribe(
-            Events.SERVE_SHED_CHANGE,
-            lambda event, payload: obs_events.append(payload))
-        with server:
-            futs = []
-            for i in range(24):
-                try:
-                    futs.append(server.submit(x[i], 5))
-                except ServerOverloaded:
-                    pass
-            results = [f.result(timeout=30.0) for f in futs]
-        served_efs = {r.served_ef for r in results}
-        assert 16 in served_efs or 8 in served_efs, (
-            f"expected shed ef in served set, got {served_efs}")
-        assert server.stats()["shed_served"] > 0
-        assert obs_events, "SERVE_SHED_CHANGE should have fired"
-
-    def test_shed_results_not_cached(self, index):
-        """The cache only ever stores full-quality results."""
-        x = index._engine._x
-        server = KNNServer(index, ServeConfig(
-            admission=AdmissionPolicy(max_batch=2, max_wait_ms=1.0,
-                                      queue_limit=4),
-            cache=CachePolicy(size=64), ef=32,
-            shed=ShedPolicy(high_water=0.25, step_up_after=1, max_level=1),
-        ))
-        # force a permanent shed level, then serve one request
-        server.degradation.level = 1
-        with server:
-            res = server.query(x[0], 5, timeout=10.0)
-        assert res.served_ef < 32
-        assert len(server.cache) == 0
 
 
 class TestServeObservability:

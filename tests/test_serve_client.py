@@ -7,8 +7,7 @@ Three guarantees under test:
   ``SearchResult`` - the benchmarks/loadgen drive all of them through one
   interface;
 * the sectioned ``ServeConfig`` (admission/deadline/cache) round-trips
-  through ``as_dict``/``from_dict`` and still accepts the old flat
-  keyword surface for one release, with a ``DeprecationWarning``;
+  through ``as_dict``/``from_dict`` and rejects unknown keywords;
 * the ``KNNIndex`` baseline protocol has one true ``query`` signature
   (``ef`` keyword-only) across every registered engine.
 """
@@ -31,7 +30,6 @@ from repro.serve import (
     DeadlinePolicy,
     DirectClient,
     KNNServer,
-    QueryResult,
     SearchClient,
     SearchResult,
     ServeConfig,
@@ -116,14 +114,6 @@ class TestSearchClientProtocol:
             with pytest.raises(DeadlineExceeded):
                 client.query(query, TOP_K, deadline_ms=0.0)
 
-    def test_result_compat_aliases(self):
-        res = SearchResult(ids=np.zeros(1, np.int32),
-                           dists=np.zeros(1, np.float32),
-                           served_ef=32, from_cache=True)
-        assert res.ef_used == 32          # pre-rename alias
-        assert res.cached is True         # pre-rename alias
-        assert QueryResult is SearchResult
-
 
 class TestServeConfigSections:
     def test_sectioned_construction(self):
@@ -137,10 +127,6 @@ class TestServeConfigSections:
         assert cfg.admission.max_batch == 32
         assert cfg.deadline.default_ms == 25.0
         assert cfg.cache.size == 64
-        # read-only flat views for migration-era call sites
-        assert cfg.max_batch == 32
-        assert cfg.default_deadline_ms == 25.0
-        assert cfg.cache_size == 64
 
     def test_round_trip(self):
         cfg = ServeConfig(
@@ -148,21 +134,6 @@ class TestServeConfigSections:
             cache=CachePolicy(size=8), default_k=3, ef=20)
         clone = ServeConfig.from_dict(cfg.as_dict())
         assert clone == cfg
-
-    def test_from_dict_accepts_flat_legacy_keys(self):
-        with pytest.warns(DeprecationWarning, match="flat ServeConfig"):
-            cfg = ServeConfig.from_dict(
-                {"max_batch": 24, "cache_size": 50, "default_k": 9})
-        assert cfg.admission.max_batch == 24
-        assert cfg.cache.size == 50
-        assert cfg.default_k == 9
-
-    def test_flat_kwargs_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="max_batch"):
-            cfg = ServeConfig(max_batch=24, max_wait_ms=3.0, queue_limit=99)
-        assert cfg.admission.max_batch == 24
-        assert cfg.admission.max_wait_ms == 3.0
-        assert cfg.admission.queue_limit == 99
 
     def test_sectioned_construction_is_warning_free(self):
         with warnings.catch_warnings():
@@ -172,17 +143,6 @@ class TestServeConfigSections:
     def test_unknown_kwarg_still_a_typeerror(self):
         with pytest.raises(TypeError):
             ServeConfig(batch_max=8)
-
-    def test_server_accepts_flat_kwargs_with_warning(self, index, query):
-        with pytest.warns(DeprecationWarning):
-            server = KNNServer(index, max_batch=8, max_wait_ms=1.0)
-        with server:
-            assert server.query(query, TOP_K, timeout=30.0).ids.shape == \
-                (TOP_K,)
-
-    def test_server_rejects_config_plus_flat(self, index):
-        with pytest.raises(ConfigurationError, match="not both"):
-            KNNServer(index, ServeConfig(), max_batch=8)
 
     def test_validation_lives_in_sections(self):
         with pytest.raises(ConfigurationError):

@@ -16,7 +16,6 @@ import pytest
 
 from repro.apps.search import SearchConfig
 from repro.core import BuildConfig, MutableConfig, MutableIndex
-from repro.core.update import DynamicKNNG
 from repro.data.synthetic import gaussian_mixture
 from repro.serve import (
     AdmissionPolicy,
@@ -125,25 +124,6 @@ class TestEpochPropagation:
         res2 = client.query(points[0], 5)
         assert res2.epoch == 1
         assert victim not in res2.ids.tolist()
-
-    def test_dynamic_knng_snapshot_method_not_mistaken_for_view(self,
-                                                                points):
-        """DynamicKNNG.snapshot is a *method*; the serving layer must not
-        call-confuse it with MutableIndex's snapshot property."""
-        dyn = DynamicKNNG.build(points, BuildConfig(k=8, n_trees=4,
-                                                    leaf_size=48, seed=0))
-        assert callable(dyn.snapshot)          # the guard's premise
-        from repro.apps.search import GraphSearchIndex
-        idx = GraphSearchIndex.build(
-            points, build_config=BuildConfig(k=8, n_trees=4, leaf_size=48,
-                                             seed=0),
-            search_config=SearchConfig(ef=48),
-        )
-        # attach the method-style attribute the guard must skip over
-        idx.snapshot = dyn.snapshot
-        client = DirectClient(idx)
-        res = client.query(points[0], 5)
-        assert res.epoch == 0 and res.ids.shape == (5,)
 
 
 class TestServingUnderMutation:
