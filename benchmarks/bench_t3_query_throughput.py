@@ -2,7 +2,7 @@
 
 The batched engine (:class:`repro.apps.search.BatchedGraphSearch`) answers
 a whole query batch in vectorized lock-step rounds; the legacy reference
-(:meth:`~repro.apps.search.GraphSearchIndex.search_legacy`) walks queries
+(``search_legacy`` in ``search_oracle.py`` beside this file) walks queries
 one at a time through a Python heapq loop.  Both expand nodes in the same
 order (``frontier=1``), so on tie-free inputs their results are
 *identical* and the comparison is pure throughput.
@@ -29,6 +29,7 @@ import time
 import numpy as np
 
 from conftest import BENCH_SCALE, publish, publish_summary
+from search_oracle import search_legacy
 from repro.apps.search import GraphSearchIndex, SearchConfig
 from repro.baselines import get_engine
 from repro.baselines.bruteforce import BruteForceKNN
@@ -75,7 +76,7 @@ def test_t3_batched_vs_legacy(results_dir):
         search_config=SearchConfig(ef=EF),
     )
     t_batched, batched = _best_of(lambda: index.search(q, TOP_K))
-    t_legacy, legacy = _best_of(lambda: index.search_legacy(q, TOP_K))
+    t_legacy, legacy = _best_of(lambda: search_legacy(index, q, TOP_K))
     speedup = t_legacy / t_batched
     stats = index.stats()
 

@@ -27,10 +27,11 @@ Two engines implement those semantics:
   select-k the build-time :meth:`~repro.kernels.knn_state.KnnState.merge_rows`
   uses.  Large batches shard across forked workers
   (:func:`repro.utils.parallel.map_forked`).
-* the legacy per-query loop (:meth:`GraphSearchIndex.search_legacy`) -
-  heapq best-first expansion, kept as the semantic reference; with
-  ``frontier=1`` the batched engine expands nodes in exactly the same
-  order and returns identical results on tie-free inputs.
+* the per-query heapq loop - best-first expansion one query at a time,
+  kept outside the library as the tests' and T3 bench's reference oracle
+  (``benchmarks/search_oracle.py``); with ``frontier=1`` the batched
+  engine expands nodes in exactly the same order and returns identical
+  results on tie-free inputs.
 
 **Metric handling**: the builder constructs graph and forest in the
 *prepared* space of ``BuildConfig.metric`` (L2-normalised for cosine, see
@@ -43,7 +44,6 @@ cosine distance).
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
 from typing import Any
@@ -60,7 +60,6 @@ from repro.errors import ConfigurationError
 from repro.kernels.distance import (
     adc_l2_query_gather,
     sq8_l2_query_gather,
-    rowwise_sq_norm,
     sq_l2_query_gather,
 )
 from repro.obs import Events, Observability
@@ -578,8 +577,7 @@ class GraphSearchIndex:
     build metric (``graph.meta["metric"]``; see :mod:`repro.core.metric`)
     and transforms incoming queries the same way, so tree routing and
     beam scoring happen in the space the graph was built in.  Queries are
-    answered by the batched :class:`BatchedGraphSearch` engine; the
-    legacy per-query loop remains available as :meth:`search_legacy`.
+    answered by the batched :class:`BatchedGraphSearch` engine.
     """
 
     def __init__(self, points: np.ndarray | None = None,
@@ -850,82 +848,3 @@ class GraphSearchIndex:
             out["param_bytes"] = quant["param_bytes"]
             out["reduction"] = quant["reduction"]
         return out
-
-    # -- the legacy per-query reference engine -----------------------------------
-
-    def _seed_candidates(self, query: np.ndarray) -> np.ndarray:
-        """Entry points: members of the query's leaf in every tree."""
-        engine = self._require_fitted()
-        seeds: list[np.ndarray] = []
-        q = query[None, :]
-        assert self.forest is not None
-        for tree in self.forest.trees:
-            leaf_idx = int(tree.leaf_for(q)[0])
-            members = tree.leaves[leaf_idx]
-            seeds.append(members[: self.config.seeds_per_tree])
-        return np.unique(np.concatenate(seeds)) if seeds else np.arange(
-            min(self.config.ef, engine._x.shape[0])
-        )
-
-    def _search_one(self, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        engine = self._require_fitted()
-        x = engine._x
-        assert self.graph is not None
-        cfg = self.config
-        seeds = self._seed_candidates(query)
-        d = rowwise_sq_norm(x[seeds] - query)
-        visited = set(int(s) for s in seeds)
-        # beam: max-heap of size ef over (-dist, id); frontier: min-heap
-        beam: list[tuple[float, int]] = []
-        frontier: list[tuple[float, int]] = []
-        for dist, sid in zip(d, seeds):
-            heapq.heappush(frontier, (float(dist), int(sid)))
-            heapq.heappush(beam, (-float(dist), int(sid)))
-        while len(beam) > cfg.ef:
-            heapq.heappop(beam)
-
-        expansions = 0
-        while frontier and expansions < cfg.max_expansions:
-            dist, node = heapq.heappop(frontier)
-            worst = -beam[0][0] if len(beam) >= cfg.ef else np.inf
-            if dist > worst:
-                break  # nearest frontier node cannot improve the beam
-            expansions += 1
-            neigh = self.graph.neighbors(node)
-            fresh = np.array(
-                [n for n in neigh if int(n) not in visited], dtype=np.int64
-            )
-            if fresh.size == 0:
-                continue
-            visited.update(int(n) for n in fresh)
-            nd = rowwise_sq_norm(x[fresh] - query)
-            for ndist, nid in zip(nd, fresh):
-                worst = -beam[0][0] if len(beam) >= cfg.ef else np.inf
-                if ndist < worst or len(beam) < cfg.ef:
-                    heapq.heappush(beam, (-float(ndist), int(nid)))
-                    if len(beam) > cfg.ef:
-                        heapq.heappop(beam)
-                    heapq.heappush(frontier, (float(ndist), int(nid)))
-        best = sorted((-nd, nid) for nd, nid in beam)
-        best = best[:k]
-        ids = np.full(k, -1, dtype=np.int32)
-        dists = np.full(k, np.inf, dtype=np.float32)
-        for i, (nd, nid) in enumerate(best):
-            ids[i] = nid
-            dists[i] = nd
-        return ids, dists
-
-    def search_legacy(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The pre-batching per-query reference loop (heapq best-first).
-
-        Kept for parity testing and as the single-query baseline in the
-        T3 throughput benchmark; with the default ``frontier=1`` the
-        batched engine returns identical results on tie-free inputs.
-        """
-        q = self._prepare_queries(queries)
-        k = check_positive_int(k, "k")
-        ids = np.empty((q.shape[0], k), dtype=np.int32)
-        dists = np.empty((q.shape[0], k), dtype=np.float32)
-        for i in range(q.shape[0]):
-            ids[i], dists[i] = self._search_one(q[i], k)
-        return ids, dists

@@ -5,9 +5,9 @@ join*: neighbours of neighbours are proposed as candidates, and each
 point's list keeps the best ``k`` seen.  It converges in a handful of
 rounds on most data and is the algorithm behind pynndescent/kgraph.
 
-This implementation shares the candidate-generation machinery with the
-w-KNNG refinement phase (:mod:`repro.core.refine`) - the two are the same
-mathematical operator - but runs it from a random start to convergence,
+This implementation runs the w-KNNG refinement round itself
+(:func:`repro.core.refine.refine_round`) - the two are the same
+mathematical operator - but from a random start to convergence,
 with the plain bulk-merge maintenance (no warp-centric discipline), which
 is what a CPU implementation does.
 """

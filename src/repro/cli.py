@@ -13,7 +13,7 @@ Commands
     target) and print the table.
 ``search``
     Build (or load) a graph-guided search index and answer a query
-    batch, reporting recall and throughput per engine.
+    batch, reporting recall and throughput.
 ``serve``
     Run the micro-batching query server under a closed-loop client
     swarm and report throughput + latency percentiles.
@@ -35,7 +35,7 @@ Examples
     python -m repro build --input base.fvecs --k 10 --strategy atomic -o g.npz
     python -m repro eval --input base.fvecs --graph g.npz
     python -m repro bench --workload clustered-128d --target 0.99 --scale 0.1
-    python -m repro search --dataset gaussian --n 20000 --ef 64 --compare-legacy
+    python -m repro search --dataset gaussian --n 20000 --ef 64
     python -m repro search --dataset gaussian --metric cosine --save-index idx/
     python -m repro serve --dataset gaussian --n 20000 --clients 16 --cache-size 512
     python -m repro loadgen --load-index idx/ --rate 3000 --deadline-ms 50
@@ -222,20 +222,17 @@ def cmd_search(args) -> int:
     rng = np.random.default_rng(args.seed + 1)
     q = x[rng.choice(x.shape[0], size=min(args.queries, x.shape[0]),
                      replace=False)]
-    engines = ("batched", "legacy") if args.compare_legacy else (args.engine,)
     gt_ids, _ = BruteForceKNN(x, metric=index.metric).search(q, args.topk)
-    for engine in engines:
-        run = index.search if engine == "batched" else index.search_legacy
-        t0 = time.perf_counter()
-        ids, _ = run(q, args.topk)
-        dt = time.perf_counter() - t0
-        hits = sum(
-            np.intersect1d(ids[i][ids[i] >= 0], gt_ids[i]).size
-            for i in range(q.shape[0])
-        )
-        recall = hits / (q.shape[0] * args.topk)
-        print(f"{engine:<8s} recall@{args.topk}={recall:.4f}  "
-              f"{q.shape[0] / dt:9.0f} queries/s  ({dt:.3f}s)")
+    t0 = time.perf_counter()
+    ids, _ = index.search(q, args.topk)
+    dt = time.perf_counter() - t0
+    hits = sum(
+        np.intersect1d(ids[i][ids[i] >= 0], gt_ids[i]).size
+        for i in range(q.shape[0])
+    )
+    recall = hits / (q.shape[0] * args.topk)
+    print(f"batched  recall@{args.topk}={recall:.4f}  "
+          f"{q.shape[0] / dt:9.0f} queries/s  ({dt:.3f}s)")
     return 0
 
 
@@ -716,9 +713,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="fork-shard the query batch across workers")
     p.add_argument("--seeds-per-tree", type=int, default=4,
                    dest="seeds_per_tree")
-    p.add_argument("--engine", default="batched", choices=("batched", "legacy"))
-    p.add_argument("--compare-legacy", action="store_true", dest="compare_legacy",
-                   help="time both engines on the same batch")
     _add_quant_args(p)
     p.add_argument("--save-index", dest="save_index", default=None,
                    help="persist points+graph+forest to this directory")

@@ -12,8 +12,10 @@ from repro.core.config import BuildConfig
 from repro.core.graph import KNNGraph
 from repro.core.metric import prepare_points
 from repro.core.refine import RefineState
+# the traced benchmark run (perfbench/layers.py) wraps the round by this name
+from repro.core.refine import refine_round as refine_round_sharded
 from repro.core.rpforest import RPForest, build_forest, forest_leaf_batches
-from repro.core.sharding import refine_round_sharded, run_leaf_phase_sharded
+from repro.core.sharding import run_leaf_phase_sharded
 from repro.kernels.counters import METRICS_PREFIX as KERNEL_PREFIX
 from repro.kernels.knn_state import KnnState
 from repro.kernels.strategy import Strategy, get_strategy
@@ -299,7 +301,6 @@ class WKNNGBuilder:
                     leaf_info = run_leaf_phase_sharded(
                         state, x, batches, strategy, cfg.n_jobs,
                         dedupe=cfg.spill > 0.0,
-                        strategy_kwargs=cfg.strategy_kwargs,
                     )
                     parallel_info["leaf"] = {
                         "shards": leaf_info["shards"],
@@ -326,37 +327,26 @@ class WKNNGBuilder:
                 rng = as_generator(refine_rng)
                 refine_state = RefineState()
                 threshold = cfg.refine_delta * n * cfg.k
-                refine_shard_seconds: list[float] = []
-                refine_merge_seconds = 0.0
+                refine_t0 = time.perf_counter()
                 for round_idx in range(cfg.refine_iters):
                     with obs.trace.span(f"round-{round_idx}") as round_span:
-                        round_t0 = time.perf_counter()
-                        inserted, round_info = refine_round_sharded(
+                        inserted = refine_round_sharded(
                             state, x, strategy, rng, sample, refine_state,
-                            n_jobs=cfg.n_jobs if sharded else 1,
-                            strategy_kwargs=cfg.strategy_kwargs, obs=obs,
+                            n_jobs=cfg.n_jobs if sharded else 1, obs=obs,
                         )
                         round_span.set(inserted=inserted)
-                    worker_secs = [
-                        g + i for g, i in zip(
-                            round_info["gen_seconds"],
-                            round_info["insert_seconds"]
-                            or [0.0] * len(round_info["gen_seconds"]),
-                        )
-                    ]
-                    refine_shard_seconds.extend(worker_secs)
-                    refine_merge_seconds += (
-                        time.perf_counter() - round_t0 - sum(worker_secs)
-                        if sharded else 0.0
-                    )
                     if inserted <= threshold:
                         break
                 if sharded:
+                    shard_seconds = refine_state.shard_seconds
                     parallel_info["refine"] = {
-                        "shard_seconds": refine_shard_seconds,
-                        "merge_seconds": max(0.0, refine_merge_seconds),
+                        "shard_seconds": shard_seconds,
+                        "merge_seconds": max(
+                            0.0,
+                            time.perf_counter() - refine_t0 - sum(shard_seconds),
+                        ),
                     }
-                    for sec in refine_shard_seconds:
+                    for sec in shard_seconds:
                         obs.metrics.histogram(
                             "parallel/refine_shard_seconds").observe(sec)
 

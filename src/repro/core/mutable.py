@@ -503,8 +503,9 @@ class MutableIndex:
                 new_int[rows_new],
             )
 
-            # 4. local repair: the join's new flags are exactly what the
-            #    insertion touched (new rows + adopters)
+            # 4. local repair with the builder's round: the join's new
+            #    flags are exactly what the insertion touched (new rows +
+            #    adopters)
             refine_state = RefineState(
                 prev_ids=np.concatenate(
                     [graph.ids,

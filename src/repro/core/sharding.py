@@ -1,53 +1,39 @@
-"""Process-parallel (sharded) execution of the leaf and refine phases.
+"""Process-parallel (sharded) execution of the leaf phase, and the
+contiguous partition the serving cluster shards by.
 
-PR 2 proved the fork-shard recipe on the query path; this module applies
-it to the two dominant *build* costs so the whole pipeline scales with
-worker count (the paper's premise - saturate the processor - translated
-to CPU processes):
+The fork-shard recipe of the query path
+(:func:`repro.utils.parallel.map_forked`), applied to the leaf all-pairs
+build phase: the serially-enumerated list of padded leaf batches (all
+trees, tree order) is split into contiguous shards; each forked worker
+replays its shard through the caller's strategy kernel (inherited
+through fork, with fresh counters) into a private empty
+:class:`~repro.kernels.knn_state.KnnState`, then the per-worker lists
+are combined row-range-parallel through the existing bulk merge kernel
+(:meth:`~repro.kernels.knn_state.KnnState.merge_rows`) in **fixed shard
+order** - when one neighbour id is offered by several shards, the
+earliest shard's distance survives, exactly like the serial "first
+offer wins" membership filter.
 
-* **leaf phase** - the serially-enumerated list of padded leaf batches
-  (all trees, tree order) is split into contiguous shards; each forked
-  worker replays its shard through the configured strategy kernel into a
-  private empty :class:`~repro.kernels.knn_state.KnnState`, then the
-  per-worker lists are combined row-range-parallel through the existing
-  bulk merge kernel (:meth:`~repro.kernels.knn_state.KnnState.merge_rows`)
-  in **fixed shard order** - when one neighbour id is offered by several
-  shards, the earliest shard's distance survives, exactly like the serial
-  "first offer wins" membership filter;
-* **refine rounds** - candidate generation is row-local once the global
-  inputs (new/old flags, sampling keys, reverse neighbourhoods) are fixed,
-  so the parent draws them once (in the serial code's exact RNG order),
-  workers join + canonicalise their row ranges, the parent takes the
-  global union, and a second row-sharded stage computes distances and
-  inserts.  All three maintenance disciplines are row-independent, so
-  splitting the insert by row ranges is *exact*, not just equivalent.
-
-Determinism: with ``n_jobs=1`` the same code runs inline over a single
-shard, so serial and parallel builds execute identical per-row candidate
-sequences and are bitwise identical (see ``docs/parallel.md`` for the
-one tie-related caveat in the leaf merge).
+The builder calls it only for ``n_jobs > 1``; with ``n_jobs=1`` it loops
+over the batches itself.  The refine rounds are row-sharded by
+:func:`repro.core.refine.refine_round`, which every caller shares.  See
+``docs/parallel.md`` for the one tie-related caveat in the leaf merge.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from typing import Any
 
 import numpy as np
 
-from repro.core.refine import (
-    RefineState,
-    _new_flags,
-    _reverse_lists,
-    sample_columns_with_keys,
-)
 from repro.kernels.counters import OpCounters
-from repro.kernels.distance import sq_l2_pairs
 from repro.kernels.knn_state import EMPTY_ID, KnnState
-from repro.kernels.strategy import Strategy, get_strategy
+from repro.kernels.strategy import Strategy
 from repro.utils.parallel import map_forked, shard_ranges
 
-__all__ = ["run_leaf_phase_sharded", "refine_round_sharded", "shard_partition"]
+__all__ = ["run_leaf_phase_sharded", "shard_partition"]
 
 
 def shard_partition(n: int, n_shards: int) -> list[tuple[int, int]]:
@@ -76,9 +62,12 @@ def shard_partition(n: int, n_shards: int) -> list[tuple[int, int]]:
 
 def _leaf_build_worker(shared: tuple, lo: int, hi: int) -> tuple:
     """Replay leaf batches ``[lo, hi)`` into a private empty state."""
-    x, batches, name, kwargs, n, k, dedupe = shared
+    x, batches, strategy, n, k, dedupe = shared
     t0 = time.perf_counter()
-    strat = get_strategy(name, **kwargs)
+    # the parent reports the dispatch and owns the counters
+    strat = copy.copy(strategy)
+    strat.reset_counters()
+    strat.obs = None
     local = KnnState(n, k)
     for mat, lengths in batches[lo:hi]:
         strat.update_leaf_batch(local, x, mat, lengths, dedupe=dedupe)
@@ -121,7 +110,6 @@ def run_leaf_phase_sharded(
     n_jobs: int,
     *,
     dedupe: bool = False,
-    strategy_kwargs: dict | None = None,
 ) -> dict[str, Any]:
     """Run the leaf all-pairs phase sharded across forked workers.
 
@@ -131,7 +119,6 @@ def run_leaf_phase_sharded(
     summary dict (shard count, per-shard wall seconds, merge seconds).
     """
     n, k = state.n, state.k
-    kwargs = dict(strategy_kwargs or {})
     shards = shard_ranges(len(batches), n_jobs)
     kernel = f"leaf_allpairs/{strategy.name}"
     t0 = strategy._dispatch_begin(
@@ -139,7 +126,7 @@ def run_leaf_phase_sharded(
     )
     results = map_forked(
         _leaf_build_worker,
-        (x, batches, strategy.name, kwargs, n, k, dedupe),
+        (x, batches, strategy, n, k, dedupe),
         shards,
         n_jobs,
     )
@@ -171,157 +158,3 @@ def run_leaf_phase_sharded(
         "merge_seconds": float(merge_seconds),
         "inserted": int(inserted),
     }
-
-
-# -- refine rounds --------------------------------------------------------------
-
-
-def _refine_candidates_worker(shared: tuple, lo: int, hi: int) -> tuple:
-    """Local join for rows ``[lo, hi)``: canonical unique pair keys."""
-    ids, flags, keys_new, keys_old, rev_new, rev_old, sample, n = shared
-    t0 = time.perf_counter()
-    ids_s = ids[lo:hi]
-    flags_s = flags[lo:hi]
-    valid = ids_s != EMPTY_ID
-    fwd_new, _ = sample_columns_with_keys(ids_s, flags_s, sample, keys_new[lo:hi])
-    fwd_old, _ = sample_columns_with_keys(
-        ids_s, valid & ~flags_s, sample, keys_old[lo:hi]
-    )
-    b_new = np.concatenate([fwd_new, rev_new[lo:hi]], axis=1)
-    b_all = np.concatenate(
-        [fwd_new, rev_new[lo:hi], fwd_old, rev_old[lo:hi]], axis=1
-    )
-    shape = (hi - lo, b_new.shape[1], b_all.shape[1])
-    a = np.broadcast_to(b_new[:, :, None], shape).reshape(-1)
-    b = np.broadcast_to(b_all[:, None, :], shape).reshape(-1)
-    ok = (a != EMPTY_ID) & (b != EMPTY_ID) & (a != b)
-    a, b = a[ok], b[ok]
-    if a.size == 0:
-        return np.empty(0, dtype=np.int64), time.perf_counter() - t0
-    keys = np.minimum(a, b) * np.int64(n) + np.maximum(a, b)
-    return np.unique(keys), time.perf_counter() - t0
-
-
-def _refine_insert_worker(shared: tuple, lo: int, hi: int) -> tuple:
-    """Distances + insertion for the candidates targeting rows ``[lo, hi)``.
-
-    Every maintenance discipline is row-independent, so running it on a
-    row slice with the row's full (order-preserved) candidate sequence is
-    exactly the serial computation for those rows.  Distances are
-    computed once per unordered pair within the shard and mirrored
-    (``(a-b)**2 == (b-a)**2`` holds bitwise in IEEE arithmetic).
-    """
-    ids, dists, x, rows, cols, name, kwargs, k, n = shared
-    t0 = time.perf_counter()
-    mask = (rows >= lo) & (rows < hi)
-    r, c = rows[mask], cols[mask]
-    sub = KnnState(hi - lo, k)
-    sub.ids = ids[lo:hi]
-    sub.dists = dists[lo:hi]
-    strat = get_strategy(name, **kwargs)
-    inserted = 0
-    if r.size:
-        pair_keys = np.minimum(r, c) * np.int64(n) + np.maximum(r, c)
-        uniq, inverse = np.unique(pair_keys, return_inverse=True)
-        d = sq_l2_pairs(x, uniq // n, uniq % n)[inverse]
-        strat.counters.distance_evals += int(uniq.size)
-        inserted = strat.insert(sub, r - lo, c, d)
-    return (
-        sub.ids,
-        sub.dists,
-        inserted,
-        strat.counters.as_dict(),
-        time.perf_counter() - t0,
-    )
-
-
-def refine_round_sharded(
-    state: KnnState,
-    x: np.ndarray,
-    strategy: Strategy,
-    rng: np.random.Generator,
-    sample: int,
-    refine_state: RefineState | None = None,
-    *,
-    n_jobs: int = 1,
-    strategy_kwargs: dict | None = None,
-    obs=None,
-) -> tuple[int, dict[str, Any]]:
-    """One local-join round, row-sharded across ``n_jobs`` forked workers.
-
-    Drop-in for :func:`repro.core.refine.refine_round` on the builder
-    path: consumes the round RNG in the same order (forward-new keys,
-    forward-old keys, then the two reverse-list draws), emits the same
-    profiling hooks and counters, and with ``n_jobs=1`` runs the very
-    same code inline over one shard - which is what makes serial and
-    parallel builds bitwise identical.  Returns ``(inserted, info)``
-    where ``info`` carries per-shard wall times for the report.
-    """
-    rs = refine_state if refine_state is not None else RefineState()
-    round_index = rs.rounds_run
-    if obs is not None:
-        from repro.obs.hooks import Events
-
-        obs.hooks.emit(
-            Events.REFINE_ROUND_BEFORE, round=round_index, sample=sample
-        )
-    n, k = state.ids.shape
-    flags = _new_flags(state, rs.prev_ids)
-    keys_new = rng.random((n, k))
-    keys_old = rng.random((n, k))
-    rev_new, rev_old = _reverse_lists(state, flags, sample, rng)
-    shards = shard_ranges(n, max(1, n_jobs))
-    parts = map_forked(
-        _refine_candidates_worker,
-        (state.ids, flags, keys_new, keys_old, rev_new, rev_old, sample, n),
-        shards,
-        n_jobs,
-    )
-    gen_seconds = [float(part[1]) for part in parts]
-    key_parts = [part[0] for part in parts if part[0].size]
-    uniq = (
-        np.unique(np.concatenate(key_parts))
-        if key_parts
-        else np.empty(0, dtype=np.int64)
-    )
-    rs.prev_ids = state.ids.copy()
-    inserted = 0
-    insert_seconds: list[float] = []
-    pair_count = 0
-    if uniq.size:
-        klo = (uniq // n).astype(np.int64)
-        khi = (uniq % n).astype(np.int64)
-        rows = np.concatenate([klo, khi])
-        cols = np.concatenate([khi, klo])
-        pair_count = int(rows.size)
-        kernel = f"refine_pairs/{strategy.name}"
-        t0 = strategy._dispatch_begin(kernel, pairs=pair_count)
-        ins_parts = map_forked(
-            _refine_insert_worker,
-            (state.ids, state.dists, x, rows, cols, strategy.name,
-             dict(strategy_kwargs or {}), k, n),
-            shards,
-            n_jobs,
-        )
-        for (lo, hi), part in zip(shards, ins_parts):
-            state.ids[lo:hi] = part[0]
-            state.dists[lo:hi] = part[1]
-            inserted += int(part[2])
-            strategy.counters.add(OpCounters(**part[3]))
-            insert_seconds.append(float(part[4]))
-        strategy._dispatch_end(t0, kernel, inserted, pairs=pair_count)
-    rs.rounds_run += 1
-    rs.insertions.append(inserted)
-    if obs is not None:
-        from repro.obs.hooks import Events
-
-        obs.metrics.counter("refine/candidate_pairs").inc(pair_count)
-        obs.metrics.counter("refine/insertions").inc(inserted)
-        obs.hooks.emit(Events.REFINE_ROUND_AFTER, round=round_index,
-                       candidates=pair_count, inserted=inserted)
-    info = {
-        "shards": len(shards),
-        "gen_seconds": gen_seconds,
-        "insert_seconds": insert_seconds,
-    }
-    return inserted, info

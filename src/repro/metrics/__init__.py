@@ -1,4 +1,4 @@
-"""Quality and timing metrics for graphs and experiments."""
+"""Quality metrics for graphs and experiments."""
 
 from repro.metrics.recall import knn_recall, per_point_recall
 from repro.metrics.quality import distance_ratio, edge_overlap
@@ -8,7 +8,6 @@ from repro.metrics.connectivity import (
     giant_component_fraction,
     min_out_degree,
 )
-from repro.metrics.timer import Timer, time_call
 from repro.metrics.records import ExperimentRecord, RecordSet
 
 __all__ = [
@@ -20,8 +19,6 @@ __all__ = [
     "connected_components",
     "giant_component_fraction",
     "min_out_degree",
-    "Timer",
-    "time_call",
     "ExperimentRecord",
     "RecordSet",
 ]

@@ -3,8 +3,10 @@
 Same pipeline as the vectorised builder (forest -> leaf all-pairs ->
 refinement), with the two kernel phases executed warp-by-warp on
 :class:`repro.simt.device.Device`.  RP-forest construction and refinement
-candidate *generation* stay on the host, as they do in the paper (tree
-construction is a preprocessing step; the kernels are the contribution).
+candidate *generation* (the candidate stage of
+:func:`repro.core.refine.refine_round`) stay on the host, as they do in
+the paper (tree construction is a preprocessing step; the kernels are the
+contribution).
 
 Use :func:`build_knng_simt` through
 ``WKNNGBuilder(BuildConfig(backend="simt"))``; use :func:`simt_leaf_metrics`
@@ -18,7 +20,7 @@ import numpy as np
 
 from repro.core.config import BuildConfig
 from repro.core.graph import KNNGraph
-from repro.core.refine import RefineState, local_join_candidates
+from repro.core.refine import RefineState, join_candidates
 from repro.core.rpforest import build_forest
 from repro.errors import ConfigurationError
 from repro.kernels.knn_state import EMPTY_ID, KnnState
@@ -202,9 +204,8 @@ def build_knng_simt(points: np.ndarray, config: BuildConfig,
             for round_idx in range(config.refine_iters):
                 with obs.trace.span(f"round-{round_idx}") as round_span:
                     state = lists.to_state()
-                    rows, cols = local_join_candidates(
+                    rows, cols, _ = join_candidates(
                         state, refine_state, rng, sample)
-                    refine_state.prev_ids = state.ids.copy()
                     refine_state.rounds_run += 1
                     if rows.size == 0:
                         round_span.set(converged=True)

@@ -9,6 +9,9 @@ graph-meta persistence round-trip, the per-build counter deltas of
 and the query-time observability surface.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,14 @@ from repro.core.builder import BuildReport, WKNNGBuilder
 from repro.core.config import BuildConfig
 from repro.core.graph import KNNGraph
 from repro.obs import Events, Observability
+
+_SPEC = importlib.util.spec_from_file_location(
+    "search_oracle",
+    Path(__file__).parent.parent / "benchmarks" / "search_oracle.py",
+)
+search_oracle = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(search_oracle)
+search_legacy = search_oracle.search_legacy
 
 
 def _queries(points: np.ndarray, m: int, seed: int = 7) -> np.ndarray:
@@ -43,7 +54,7 @@ class TestEngineParity:
     def test_batched_matches_legacy(self, small_clustered, index):
         q = _queries(small_clustered, 50)
         ids_b, d_b = index.search(q, 10)
-        ids_l, d_l = index.search_legacy(q, 10)
+        ids_l, d_l = search_legacy(index, q, 10)
         assert np.array_equal(ids_b, ids_l)
         assert np.allclose(d_b, d_l, equal_nan=True)
 
@@ -56,7 +67,7 @@ class TestEngineParity:
         )
         q = _queries(small_clustered, 30, seed=8)
         ids_b, d_b = idx.search(q, 5)
-        ids_l, d_l = idx.search_legacy(q, 5)
+        ids_l, d_l = search_legacy(idx, q, 5)
         assert np.array_equal(ids_b, ids_l)
         assert np.allclose(d_b, d_l, equal_nan=True)
 
@@ -69,7 +80,7 @@ class TestEngineParity:
         )
         q = _queries(x, 8, seed=9)
         ids_b, d_b = idx.search(q, 50)
-        ids_l, d_l = idx.search_legacy(q, 50)
+        ids_l, d_l = search_legacy(idx, q, 50)
         assert ids_b.shape == (8, 50)
         assert np.array_equal(ids_b, ids_l)
         assert np.allclose(d_b, d_l, equal_nan=True)
@@ -93,7 +104,7 @@ class TestEngineParity:
         idx._engine.graph = empty
         q = _queries(small_clustered, 12, seed=3)
         ids_b, d_b = idx.search(q, 5)
-        ids_l, d_l = idx.search_legacy(q, 5)
+        ids_l, d_l = search_legacy(idx, q, 5)
         assert np.array_equal(ids_b, ids_l)
         assert (ids_b >= 0).any()  # the seeds themselves are returned
 

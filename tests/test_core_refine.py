@@ -1,17 +1,19 @@
 """Tests for the NN-descent local-join refinement."""
 
 import numpy as np
+import pytest
 
 from repro.core.refine import (
     RefineState,
     _new_flags,
     _reverse_lists,
-    _sample_columns,
-    local_join_candidates,
+    join_candidates,
     refine_round,
+    sample_columns_with_keys,
 )
 from repro.kernels.knn_state import EMPTY_ID, KnnState
 from repro.kernels.strategy import get_strategy
+from repro.utils.parallel import fork_available
 
 
 def make_state(ids):
@@ -45,7 +47,7 @@ class TestSampleColumns:
         rng = np.random.default_rng(0)
         ids = np.array([[10, 20, 30, 40]], dtype=np.int32)
         eligible = np.array([[True, False, True, False]])
-        out, ok = _sample_columns(ids, eligible, 4, rng)
+        out, ok = sample_columns_with_keys(ids, eligible, 4, rng.random(ids.shape))
         got = set(out[ok].tolist())
         assert got <= {10, 30}
 
@@ -53,7 +55,7 @@ class TestSampleColumns:
         rng = np.random.default_rng(0)
         ids = np.tile(np.arange(10, dtype=np.int32), (3, 1))
         eligible = np.ones((3, 10), dtype=bool)
-        out, ok = _sample_columns(ids, eligible, 4, rng)
+        out, ok = sample_columns_with_keys(ids, eligible, 4, rng.random(ids.shape))
         assert out.shape == (3, 4)
         assert ok.all()
 
@@ -61,7 +63,7 @@ class TestSampleColumns:
         rng = np.random.default_rng(0)
         ids = np.array([[5, 6]], dtype=np.int32)
         eligible = np.array([[False, False]])
-        out, ok = _sample_columns(ids, eligible, 2, rng)
+        out, ok = sample_columns_with_keys(ids, eligible, 2, rng.random(ids.shape))
         assert (out == EMPTY_ID).all() and not ok.any()
 
 
@@ -95,26 +97,26 @@ class TestReverseLists:
 class TestLocalJoin:
     def test_pairs_are_deduplicated(self):
         state = make_state([[1, 2], [0, 2], [0, 1]])
-        rows, cols = local_join_candidates(state, RefineState(), np.random.default_rng(0), 4)
+        rows, cols, _ = join_candidates(state, RefineState(), np.random.default_rng(0), 4)
         keys = rows * 3 + cols
         assert len(np.unique(keys)) == len(keys)
 
     def test_no_self_pairs(self):
         state = make_state([[1, 2], [0, 2], [0, 1]])
-        rows, cols = local_join_candidates(state, RefineState(), np.random.default_rng(0), 4)
+        rows, cols, _ = join_candidates(state, RefineState(), np.random.default_rng(0), 4)
         assert (rows != cols).all()
 
     def test_join_proposes_shared_neighbour_pair(self):
         # 1 and 2 both appear in 0's list -> the join must propose (1, 2)
         state = make_state([[1, 2], [0, EMPTY_ID], [0, EMPTY_ID]])
-        rows, cols = local_join_candidates(state, RefineState(), np.random.default_rng(0), 4)
+        rows, cols, _ = join_candidates(state, RefineState(), np.random.default_rng(0), 4)
         pairs = set(zip(rows.tolist(), cols.tolist()))
         assert (1, 2) in pairs and (2, 1) in pairs
 
     def test_converged_state_generates_nothing(self):
         state = make_state([[1, 2], [0, 2], [0, 1]])
         rs = RefineState(prev_ids=state.ids.copy())
-        rows, cols = local_join_candidates(state, rs, np.random.default_rng(0), 4)
+        rows, cols, _ = join_candidates(state, rs, np.random.default_rng(0), 4)
         assert rows.size == 0
 
 
@@ -158,3 +160,37 @@ class TestRefineRound:
         refine_round(state, x, strat, rng, 4, rs)
         assert rs.rounds_run == 2
         assert len(rs.insertions) == 2
+
+
+class TestRoundAcrossJobs:
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    @pytest.mark.parametrize("strategy", ["baseline", "atomic", "tiled"])
+    def test_repair_round_bitwise_identical_across_n_jobs(self, strategy):
+        # a MutableIndex-style repair: a refined graph grown by new rows,
+        # with prev_ids marking only the grown rows and their adopters new
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((300, 8)).astype(np.float32)
+        n_old, k = 260, 6
+        base = KnnState(300, k)
+        strat = get_strategy(strategy)
+        for lo in range(0, n_old, 40):
+            strat.update_leaf(base, x, np.arange(lo, min(lo + 40, n_old)))
+        refine_round(base, x, strat, np.random.default_rng(5), 6)
+        prev_ids = base.ids.copy()
+        new = np.arange(n_old, 300)
+        strat.update_pairs(base, x, np.repeat(new, 3),
+                           rng.integers(0, n_old, new.size * 3))
+        results = []
+        for n_jobs in (1, 3):
+            state = KnnState(300, k)
+            state.ids[...] = base.ids
+            state.dists[...] = base.dists
+            rs = RefineState(prev_ids=prev_ids.copy())
+            inserted = refine_round(state, x, get_strategy(strategy),
+                                    np.random.default_rng(6), 6, rs,
+                                    n_jobs=n_jobs)
+            results.append((inserted, state.ids.copy(), state.dists.copy()))
+        (ins1, ids1, d1), (ins3, ids3, d3) = results
+        assert ins1 == ins3 > 0
+        assert np.array_equal(ids1, ids3)
+        assert np.array_equal(d1.view(np.uint32), d3.view(np.uint32))

@@ -1,4 +1,4 @@
-"""Tests for recall, quality metrics, timers and experiment records."""
+"""Tests for recall, quality metrics and experiment records."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.errors import DataError
 from repro.metrics.quality import distance_ratio, edge_overlap
 from repro.metrics.recall import knn_recall, per_point_recall
 from repro.metrics.records import ExperimentRecord, RecordSet
-from repro.metrics.timer import Timer, time_call
 
 
 class TestRecall:
@@ -92,27 +91,6 @@ class TestQuality:
         g1 = self._graph([[1, 2]], [[1.0, 2.0]])
         g2 = self._graph([[2, 3]], [[1.0, 2.0]])
         assert edge_overlap(g1, g2) == pytest.approx(0.5)
-
-
-class TestTimer:
-    def test_phases_accumulate(self):
-        t = Timer()
-        with t.phase("a"):
-            pass
-        with t.phase("a"):
-            pass
-        with t.phase("b"):
-            pass
-        assert set(t.seconds) == {"a", "b"}
-        assert t.total >= 0
-
-    def test_time_call_returns_result(self):
-        secs, result = time_call(lambda x: x * 2, 21)
-        assert result == 42 and secs >= 0
-
-    def test_time_call_repeat_validation(self):
-        with pytest.raises(ValueError):
-            time_call(lambda: None, repeat=0)
 
 
 class TestRecords:
