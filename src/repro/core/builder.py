@@ -1,4 +1,12 @@
-"""The w-KNNG builder: the paper's end-to-end construction pipeline."""
+"""The w-KNNG builder: the paper's end-to-end construction pipeline.
+
+:func:`run_build` is the one driver for both backends.  It owns the
+phase order (forest -> leaf all-pairs -> refine rounds -> finalize), the
+spans, the forest, the refine stop rule, the report and the graph meta.
+A backend supplies only its list storage and kernels: :class:`_HostLists`
+for the vectorised NumPy kernels,
+:class:`repro.simt_kernels.pipeline._DeviceLists` for the SIMT simulator.
+"""
 
 from __future__ import annotations
 
@@ -20,6 +28,7 @@ from repro.kernels.counters import METRICS_PREFIX as KERNEL_PREFIX
 from repro.kernels.knn_state import KnnState
 from repro.kernels.strategy import Strategy, get_strategy
 from repro.obs import Observability
+from repro.obs.hooks import Events
 from repro.obs.trace import SpanRecord
 from repro.utils.parallel import fork_available
 from repro.utils.rng import as_generator, spawn_streams
@@ -238,12 +247,14 @@ class WKNNGBuilder:
         obs = self.obs if self.obs is not None else Observability()
         self.last_obs = obs
         if cfg.backend == "simt":
-            graph, report = self._build_simt(x, cfg, obs)
+            from repro.simt_kernels.pipeline import device_lists
+
+            lists = device_lists(x, cfg, obs)
         else:
-            graph, report = self._build_vectorized(x, cfg, obs)
+            lists = _HostLists(x, cfg, obs)
+        graph, report, self.last_forest = run_build(x, cfg, obs, lists)
         graph.meta["metric"] = cfg.metric
         graph.meta["metric_info"] = metric_info
-        graph.meta["strategy"] = resolved
         if return_report:
             return graph, report
         return graph
@@ -256,134 +267,148 @@ class WKNNGBuilder:
         from repro.bench.costmodel import preferred_strategy
         from repro.kernels.tiled import DEFAULT_TILE_SIZE
 
-        choice = preferred_strategy(
+        return preferred_strategy(
             dim, cfg.k, cfg.leaf_size,
             tile_size=cfg.strategy_kwargs.get("tile_size", DEFAULT_TILE_SIZE),
         )
-        self._resolved_strategy = choice
-        return choice
 
-    def _build_vectorized(
-        self, x: np.ndarray, cfg: BuildConfig, obs: Observability
-    ) -> tuple[KNNGraph, BuildReport]:
-        n = x.shape[0]
-        counters_before = BuildReport.counters_snapshot(obs, KERNEL_PREFIX)
-        forest_rng, refine_rng = spawn_streams(cfg.seed, 2)
-        strategy: Strategy = get_strategy(cfg.strategy, **cfg.strategy_kwargs)
-        strategy.obs = obs
-        state = KnnState(n, cfg.k)
 
-        sharded = cfg.n_jobs > 1 and fork_available()
-        parallel_info: dict[str, Any] = {
-            "n_jobs": cfg.n_jobs,
-            "workers": cfg.n_jobs if sharded else 1,
-        }
-        with obs.trace.span(ROOT_SPAN, backend="vectorized", n=n,
-                            dim=int(x.shape[1]), k=cfg.k,
-                            strategy=cfg.strategy, metric=cfg.metric,
-                            n_jobs=cfg.n_jobs):
-            with obs.trace.span("forest"):
-                forest = build_forest(x, cfg.n_trees, cfg.leaf_size, forest_rng,
-                                      n_jobs=cfg.n_jobs, spill=cfg.spill, obs=obs)
-                sizes = forest.leaf_sizes()
-                obs.metrics.gauge("forest/n_leaves").set(float(sizes.size))
-                obs.metrics.gauge("forest/mean_leaf_size").set(float(sizes.mean()))
-                obs.metrics.gauge("forest/max_leaf_size").set(float(sizes.max()))
-            self.last_forest = forest
+class _HostLists:
+    """The vectorised backend: a host :class:`KnnState` and a strategy.
 
-            # one tree at a time: leaves of a classic tree are disjoint, so a
-            # batch carries no duplicate pairs; spill trees overlap and need
-            # the dedupe pass.  With n_jobs > 1 the batch list is sharded
-            # across forked workers and merged back in fixed shard order.
-            with obs.trace.span("leaf_pairs"):
-                batches = forest_leaf_batches(forest)
-                if sharded and len(batches) > 1:
-                    leaf_info = run_leaf_phase_sharded(
-                        state, x, batches, strategy, cfg.n_jobs,
-                        dedupe=cfg.spill > 0.0,
-                    )
-                    parallel_info["leaf"] = {
-                        "shards": leaf_info["shards"],
-                        "shard_seconds": leaf_info["shard_seconds"],
-                        "merge_seconds": leaf_info["merge_seconds"],
-                    }
-                    for sec in leaf_info["shard_seconds"]:
-                        obs.metrics.histogram(
-                            "parallel/leaf_shard_seconds").observe(sec)
-                    obs.metrics.gauge("parallel/leaf_merge_seconds").set(
-                        leaf_info["merge_seconds"])
-                else:
-                    for leaf_mat, lengths in batches:
-                        strategy.update_leaf_batch(
-                            state, x, leaf_mat, lengths, dedupe=cfg.spill > 0.0
-                        )
-                # slot order is history-dependent (serial insertion vs shard
-                # merge); refine samples by (row, slot), so hand over the
-                # canonical arrangement regardless of how we got here
-                state.canonicalize()
+    The leaf phase runs through :func:`run_leaf_phase_sharded` at every
+    ``n_jobs`` (one shard runs inline) and a refine round is
+    :func:`repro.core.refine.refine_round`.
+    """
 
-            with obs.trace.span("refine"):
-                sample = cfg.effective_refine_sample()
-                rng = as_generator(refine_rng)
-                refine_state = RefineState()
-                threshold = cfg.refine_delta * n * cfg.k
-                refine_t0 = time.perf_counter()
-                for round_idx in range(cfg.refine_iters):
-                    with obs.trace.span(f"round-{round_idx}") as round_span:
-                        inserted = refine_round_sharded(
-                            state, x, strategy, rng, sample, refine_state,
-                            n_jobs=cfg.n_jobs if sharded else 1, obs=obs,
-                        )
-                        round_span.set(inserted=inserted)
-                    if inserted <= threshold:
-                        break
-                if sharded:
-                    shard_seconds = refine_state.shard_seconds
-                    parallel_info["refine"] = {
-                        "shard_seconds": shard_seconds,
-                        "merge_seconds": max(
-                            0.0,
-                            time.perf_counter() - refine_t0 - sum(shard_seconds),
-                        ),
-                    }
-                    for sec in shard_seconds:
-                        obs.metrics.histogram(
-                            "parallel/refine_shard_seconds").observe(sec)
+    backend = "vectorized"
+    counters_prefix = KERNEL_PREFIX
 
-            with obs.trace.span("finalize"):
-                ids, dists = state.sorted_arrays()
+    def __init__(self, x: np.ndarray, cfg: BuildConfig, obs: Observability) -> None:
+        self.strategy: Strategy = get_strategy(cfg.strategy, **cfg.strategy_kwargs)
+        self.strategy.obs = obs
+        self.state = KnnState(x.shape[0], cfg.k)
+        #: worker processes of the leaf and refine phases
+        self.n_jobs = cfg.n_jobs if cfg.n_jobs > 1 and fork_available() else 1
+        # spill trees overlap, so a batch may repeat a pair
+        self.dedupe = cfg.spill > 0.0
 
-        obs.metrics.gauge("parallel/n_jobs").set(float(cfg.n_jobs))
-        obs.metrics.gauge("parallel/workers").set(float(parallel_info["workers"]))
-        strategy.counters.emit(obs.metrics)
-        report = BuildReport.from_obs(
-            obs, counters_prefix=KERNEL_PREFIX, counters_baseline=counters_before,
-            metric=cfg.metric, strategy=cfg.strategy, parallel=parallel_info,
+    def leaf_phase(self, x: np.ndarray, forest: RPForest) -> dict[str, Any]:
+        info = run_leaf_phase_sharded(
+            self.state, x, forest_leaf_batches(forest), self.strategy,
+            self.n_jobs, dedupe=self.dedupe,
         )
-        graph = KNNGraph(
-            ids=ids,
-            dists=dists,
-            meta={
-                "algorithm": "w-knng",
-                "strategy": cfg.strategy,
-                "backend": "vectorized",
-                "config": cfg,
-                "report": report.as_dict(),
-            },
-            report=report,
+        # slot order is history-dependent (insertion order vs shard merge);
+        # refine samples by (row, slot), so hand over the canonical one
+        self.state.canonicalize()
+        return info
+
+    def refine_round(self, x: np.ndarray, rng: np.random.Generator, sample: int,
+                     refine_state: RefineState) -> int:
+        return refine_round_sharded(
+            self.state, x, self.strategy, rng, sample, refine_state, n_jobs=self.n_jobs,
         )
-        return graph, report
 
-    def _build_simt(
-        self, x: np.ndarray, cfg: BuildConfig, obs: Observability
-    ) -> tuple[KNNGraph, BuildReport]:
-        """Route the pipeline through the warp-level simulator backend.
+    def to_state(self) -> KnnState:
+        return self.state
 
-        Practical only for small ``n`` (the simulator interprets every warp
-        instruction in Python); produces the microarchitecture metrics used
-        by experiment F6.
-        """
-        from repro.simt_kernels.pipeline import build_knng_simt
+    def finish(self, obs: Observability) -> dict[str, Any]:
+        """Pour the work counters into ``obs``; return the extra graph meta."""
+        self.strategy.counters.emit(obs.metrics)
+        return {}
 
-        graph, report = build_knng_simt(x, cfg, obs=obs)
-        return graph, report
+
+def run_build(
+    x: np.ndarray, cfg: BuildConfig, obs: Observability, lists: Any
+) -> tuple[KNNGraph, BuildReport, RPForest]:
+    """Run the pipeline phases on one backend; the only build driver.
+
+    The driver owns the phase order and everything common to the
+    backends: the spans, the forest and its gauges, the refine stop rule
+    (a round inserting at most ``refine_delta * n * k`` entries ends the
+    phase), the report and the graph meta.  ``lists`` supplies the list
+    storage and kernels: :class:`_HostLists` (vectorised) or
+    :class:`repro.simt_kernels.pipeline._DeviceLists` (simt).  It has a
+    ``backend`` name, a ``counters_prefix``, a worker count ``n_jobs``,
+    and the methods ``leaf_phase(x, forest)``, ``refine_round(x, rng,
+    sample, refine_state) -> inserted``, ``to_state()`` and
+    ``finish(obs) -> extra meta``.
+    """
+    n = x.shape[0]
+    counters_before = BuildReport.counters_snapshot(obs, lists.counters_prefix)
+    forest_rng, refine_rng = spawn_streams(cfg.seed, 2)
+    parallel_info: dict[str, Any] = {"n_jobs": cfg.n_jobs, "workers": lists.n_jobs}
+    sharded = lists.n_jobs > 1
+    with obs.trace.span(ROOT_SPAN, backend=lists.backend, n=n,
+                        dim=int(x.shape[1]), k=cfg.k, strategy=cfg.strategy,
+                        metric=cfg.metric, n_jobs=cfg.n_jobs):
+        with obs.trace.span("forest"):
+            forest = build_forest(x, cfg.n_trees, cfg.leaf_size, forest_rng,
+                                  n_jobs=cfg.n_jobs, spill=cfg.spill, obs=obs)
+            sizes = forest.leaf_sizes()
+            obs.metrics.gauge("forest/n_leaves").set(float(sizes.size))
+            obs.metrics.gauge("forest/mean_leaf_size").set(float(sizes.mean()))
+            obs.metrics.gauge("forest/max_leaf_size").set(float(sizes.max()))
+
+        with obs.trace.span("leaf_pairs"):
+            leaf_info = lists.leaf_phase(x, forest)
+            if sharded:
+                parallel_info["leaf"] = {
+                    key: leaf_info[key]
+                    for key in ("shards", "shard_seconds", "merge_seconds")
+                }
+                for sec in leaf_info["shard_seconds"]:
+                    obs.metrics.histogram("parallel/leaf_shard_seconds").observe(sec)
+                obs.metrics.gauge("parallel/leaf_merge_seconds").set(
+                    leaf_info["merge_seconds"])
+
+        with obs.trace.span("refine"):
+            sample = cfg.effective_refine_sample()
+            rng = as_generator(refine_rng)
+            refine_state = RefineState()
+            threshold = cfg.refine_delta * n * cfg.k
+            refine_t0 = time.perf_counter()
+            for round_idx in range(cfg.refine_iters):
+                with obs.trace.span(f"round-{round_idx}") as round_span:
+                    obs.hooks.emit(Events.REFINE_ROUND_BEFORE, round=round_idx,
+                                   sample=sample)
+                    inserted = lists.refine_round(x, rng, sample, refine_state)
+                    candidates = refine_state.candidates[-1]
+                    obs.metrics.counter("refine/candidate_pairs").inc(candidates)
+                    obs.metrics.counter("refine/insertions").inc(inserted)
+                    obs.hooks.emit(Events.REFINE_ROUND_AFTER, round=round_idx,
+                                   candidates=candidates, inserted=inserted)
+                    round_span.set(inserted=inserted)
+                if inserted <= threshold:
+                    break
+            if sharded:
+                shard_seconds = refine_state.shard_seconds
+                parallel_info["refine"] = {
+                    "shard_seconds": shard_seconds,
+                    "merge_seconds": max(
+                        0.0, time.perf_counter() - refine_t0 - sum(shard_seconds),
+                    ),
+                }
+                for sec in shard_seconds:
+                    obs.metrics.histogram("parallel/refine_shard_seconds").observe(sec)
+
+        with obs.trace.span("finalize"):
+            ids, dists = lists.to_state().sorted_arrays()
+
+    obs.metrics.gauge("parallel/n_jobs").set(float(cfg.n_jobs))
+    obs.metrics.gauge("parallel/workers").set(float(lists.n_jobs))
+    extra_meta = lists.finish(obs)
+    report = BuildReport.from_obs(
+        obs, counters_prefix=lists.counters_prefix,
+        counters_baseline=counters_before, metric=cfg.metric,
+        strategy=cfg.strategy, parallel=parallel_info,
+    )
+    meta = {
+        "algorithm": "w-knng",
+        "strategy": cfg.strategy,
+        "backend": lists.backend,
+        "config": cfg,
+        "report": report.as_dict(),
+        **extra_meta,
+    }
+    return KNNGraph(ids=ids, dists=dists, meta=meta, report=report), report, forest

@@ -20,10 +20,10 @@ Two standard optimisations keep rounds cheap:
   the join to O(sample^2) pairs per point.
 
 One round, :func:`refine_round`, serves every caller: the builder, the
-:class:`~repro.core.mutable.MutableIndex` repair, the NN-descent baseline
-and (candidate stage only) the simt backend.  It runs in two row-sharded
-stages over ``n_jobs`` forked workers, inline as one shard when
-``n_jobs=1``:
+:class:`~repro.core.mutable.MutableIndex` repair and the NN-descent
+baseline.  The simt backend shares its candidate stage and inserts on
+the device.  The round runs in two row-sharded stages over ``n_jobs``
+forked workers, inline as one shard when ``n_jobs=1``:
 
 * :func:`join_candidates` - the global inputs (new/old flags, sampling
   keys, reverse neighbourhoods) are drawn once in the parent, after which
@@ -44,7 +44,6 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -54,9 +53,6 @@ from repro.kernels.knn_state import EMPTY_ID, KnnState
 from repro.kernels.strategy import Strategy
 from repro.utils.parallel import map_forked, shard_ranges
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs import Observability
-
 
 @dataclass
 class RefineState:
@@ -65,14 +61,22 @@ class RefineState:
     ``prev_ids`` snapshots the lists at the end of the previous round so the
     next round can derive the *new* flags (entries not present before).
     ``None`` means "everything is new" (the first round after the forest
-    phase joins every entry).  ``shard_seconds`` collects, per round and
-    row shard, the worker wall time of both stages.
+    phase joins every entry).  ``candidates`` and ``insertions`` hold each
+    round's joined pairs and list insertions.  ``shard_seconds`` collects,
+    per round and row shard, the worker wall time of both stages.
     """
 
     prev_ids: np.ndarray | None = None
     rounds_run: int = 0
+    candidates: list[int] = field(default_factory=list)
     insertions: list[int] = field(default_factory=list)
     shard_seconds: list[float] = field(default_factory=list)
+
+    def record(self, candidates: int, inserted: int) -> None:
+        """Close one round that joined ``candidates`` pairs."""
+        self.rounds_run += 1
+        self.candidates.append(candidates)
+        self.insertions.append(inserted)
 
 
 def _new_flags(state: KnnState, prev_ids: np.ndarray | None) -> np.ndarray:
@@ -300,7 +304,6 @@ def refine_round(
     refine_state: RefineState | None = None,
     *,
     n_jobs: int = 1,
-    obs: "Observability | None" = None,
 ) -> int:
     """Run one local-join round; returns the number of list insertions.
 
@@ -309,18 +312,8 @@ def refine_round(
     (correct, just more work).  A return of 0 means the round converged.
     ``n_jobs`` row-shards both stages across forked workers; the result
     does not depend on it.
-
-    With an :class:`~repro.obs.Observability` attached, the round emits
-    ``refine_round:before``/``:after`` profiling hooks and accumulates the
-    ``refine/candidate_pairs`` and ``refine/insertions`` counters.
     """
     rs = refine_state if refine_state is not None else RefineState()
-    round_index = rs.rounds_run
-    if obs is not None:
-        from repro.obs.hooks import Events
-
-        obs.hooks.emit(Events.REFINE_ROUND_BEFORE, round=round_index,
-                       sample=sample)
     rows, cols, gen_seconds = join_candidates(state, rs, rng, sample, n_jobs=n_jobs)
     inserted, insert_seconds = insert_candidates(
         state, x, strategy, rows, cols, n_jobs=n_jobs
@@ -328,11 +321,5 @@ def refine_round(
     rs.shard_seconds.extend(
         g + i for g, i in zip(gen_seconds, insert_seconds or [0.0] * len(gen_seconds))
     )
-    rs.rounds_run += 1
-    rs.insertions.append(inserted)
-    if obs is not None:
-        obs.metrics.counter("refine/candidate_pairs").inc(int(rows.size))
-        obs.metrics.counter("refine/insertions").inc(inserted)
-        obs.hooks.emit(Events.REFINE_ROUND_AFTER, round=round_index,
-                       candidates=int(rows.size), inserted=inserted)
+    rs.record(int(rows.size), inserted)
     return inserted

@@ -14,8 +14,10 @@ order** - when one neighbour id is offered by several shards, the
 earliest shard's distance survives, exactly like the serial "first
 offer wins" membership filter.
 
-The builder calls it only for ``n_jobs > 1``; with ``n_jobs=1`` it loops
-over the batches itself.  The refine rounds are row-sharded by
+The vectorised build runs its leaf phase through it at every ``n_jobs``:
+with one shard the worker runs inline and its lists are the result, so
+there is no merge.  Either way the phase is reported as one
+``leaf_allpairs`` kernel dispatch.  The refine rounds are row-sharded by
 :func:`repro.core.refine.refine_round`, which every caller shares.  See
 ``docs/parallel.md`` for the one tie-related caveat in the leaf merge.
 """
@@ -121,9 +123,7 @@ def run_leaf_phase_sharded(
     n, k = state.n, state.k
     shards = shard_ranges(len(batches), n_jobs)
     kernel = f"leaf_allpairs/{strategy.name}"
-    t0 = strategy._dispatch_begin(
-        kernel, sharded=True, shards=len(shards), batches=len(batches)
-    )
+    t0 = strategy._dispatch_begin(kernel, shards=len(shards), batches=len(batches))
     results = map_forked(
         _leaf_build_worker,
         (x, batches, strategy, n, k, dedupe),
@@ -151,7 +151,7 @@ def run_leaf_phase_sharded(
             state.dists[lo:hi] = mdists
             inserted += int(ins)
     merge_seconds = time.perf_counter() - m0
-    strategy._dispatch_end(t0, kernel, inserted, sharded=True, shards=len(shards))
+    strategy._dispatch_end(t0, kernel, inserted, shards=len(shards))
     return {
         "shards": len(shards),
         "shard_seconds": shard_seconds,

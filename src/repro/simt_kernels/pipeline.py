@@ -1,17 +1,18 @@
-"""End-to-end w-KNNG construction on the SIMT simulator backend.
+"""The simt backend of the w-KNNG build: kernels on the SIMT simulator.
 
-Same pipeline as the vectorised builder (forest -> leaf all-pairs ->
-refinement), with the two kernel phases executed warp-by-warp on
+:func:`repro.core.builder.run_build` drives the same pipeline for both
+backends (forest -> leaf all-pairs -> refinement -> finalize).  This
+module supplies the simt list storage and kernels, :class:`_DeviceLists`:
+the two kernel phases execute warp-by-warp on
 :class:`repro.simt.device.Device`.  RP-forest construction and refinement
-candidate *generation* (the candidate stage of
-:func:`repro.core.refine.refine_round`) stay on the host, as they do in
-the paper (tree construction is a preprocessing step; the kernels are the
-contribution).
+candidate *generation* (:func:`repro.core.refine.join_candidates`) stay
+on the host, as they do in the paper (tree construction is a
+preprocessing step; the kernels are the contribution).
 
-Use :func:`build_knng_simt` through
-``WKNNGBuilder(BuildConfig(backend="simt"))``; use :func:`simt_leaf_metrics`
-to collect per-strategy microarchitecture counters for one leaf workload
-(experiment F6).
+Use the backend through ``WKNNGBuilder(BuildConfig(backend="simt"))``, or
+:func:`build_knng_simt` to pass an explicit :class:`Device`; use
+:func:`simt_leaf_metrics` to collect per-strategy microarchitecture
+counters for one leaf workload (experiment F6).
 """
 
 from __future__ import annotations
@@ -19,36 +20,50 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import BuildConfig
-from repro.core.graph import KNNGraph
-from repro.core.refine import RefineState, join_candidates
-from repro.core.rpforest import build_forest
+from repro.core.refine import RefineState, _new_flags, join_candidates
+from repro.core.rpforest import RPForest
 from repro.errors import ConfigurationError
 from repro.kernels.knn_state import EMPTY_ID, KnnState
 from repro.simt.atomics import EMPTY_PACKED, unpack_dist_id
 from repro.simt.config import DeviceConfig
 from repro.simt.device import Device
+from repro.simt.metrics import METRICS_PREFIX as SIMT_PREFIX
 from repro.simt.metrics import KernelMetrics
 from repro.simt_kernels import leaf_kernels, pairs_kernels
 from repro.utils.arrays import segment_lengths
-from repro.utils.rng import as_generator, spawn_streams
 from repro.utils.validation import check_points_matrix
 
 
 class _DeviceLists:
-    """Strategy-appropriate device-resident k-NN list buffers."""
+    """Strategy-appropriate device-resident k-NN list buffers.
 
-    def __init__(self, device: Device, n: int, k: int, strategy: str) -> None:
+    With the uploaded point buffer ``xbuf`` it is also the simt backend
+    of :func:`repro.core.builder.run_build` (see :func:`device_lists`).
+    """
+
+    backend = "simt"
+    counters_prefix = SIMT_PREFIX
+    #: the simulator runs every kernel in this process
+    n_jobs = 1
+
+    def __init__(self, device: Device, n: int, k: int, strategy: str,
+                 xbuf=None) -> None:
+        self.device, self.xbuf = device, xbuf
         self.strategy = strategy
         self.n, self.k = n, k
         if strategy == "atomic":
             self.packed = device.empty(
                 (n * k,), np.uint64, "knn_packed", fill=np.uint64(EMPTY_PACKED)
             )
+            #: the list buffers the strategy's kernels take after the points
+            self.buffers = (self.packed,)
         else:
             self.dists = device.empty((n * k,), np.float32, "knn_dists", fill=np.inf)
             self.ids = device.empty((n * k,), np.int32, "knn_ids", fill=EMPTY_ID)
+            self.buffers = (self.dists, self.ids)
             if strategy == "baseline":
                 self.locks = device.empty((n,), np.int32, "knn_locks")
+                self.buffers += (self.locks,)
 
     def to_state(self) -> KnnState:
         """Copy the device lists back into a host KnnState."""
@@ -61,6 +76,55 @@ class _DeviceLists:
             state.dists[...] = self.dists.to_host().reshape(self.n, self.k)
             state.ids[...] = self.ids.to_host().reshape(self.n, self.k)
         return state
+
+    def leaf_phase(self, x: np.ndarray, forest: RPForest) -> None:
+        """One leaf all-pairs launch per leaf, tree by tree."""
+        for _ti, leaf in forest.iter_leaves():
+            _launch_leaf(self.device, self, self.xbuf, leaf, x.shape[1], self.k)
+
+    def refine_round(self, x: np.ndarray, rng: np.random.Generator, sample: int,
+                     refine_state: RefineState) -> int:
+        """Host local join, then the pairs kernel; returns the insertions.
+
+        An insertion is an entry new to its row after the launch, the
+        count the vectorised round reports.
+        """
+        before = self.to_state()
+        rows, cols, _ = join_candidates(before, refine_state, rng, sample)
+        _launch_pairs(self.device, self, self.xbuf, rows, cols, x.shape[1], self.k)
+        inserted = int(_new_flags(self.to_state(), before.ids).sum())
+        refine_state.record(int(rows.size), inserted)
+        return inserted
+
+    def finish(self, obs) -> dict:
+        """Pour the device metrics into ``obs``; return the extra graph meta."""
+        self.device.metrics.emit(obs.metrics, prefix=SIMT_PREFIX)
+        meta = {
+            "simt_metrics": self.device.metrics.as_dict(),
+            "estimated_cycles": self.device.metrics.estimated_cycles(self.device.config),
+        }
+        if self.device.sanitizer is not None:
+            # raise mode would have aborted the build at the first finding,
+            # so this summary is the report-mode record of what wksan saw
+            meta["sanitizer"] = self.device.sanitizer.report().as_dict()
+        return meta
+
+
+def device_lists(x: np.ndarray, config: BuildConfig, obs,
+                 device: Device | None = None) -> _DeviceLists:
+    """The simt backend for one build of ``x`` on ``device``."""
+    device = device or Device(DeviceConfig())
+    if device.obs is None:
+        device.obs = obs
+    if config.k > device.config.warp_size:
+        raise ConfigurationError(
+            f"the simt backend requires k <= warp_size "
+            f"({device.config.warp_size}), got k={config.k}"
+        )
+    # the point matrix is kernel input only: const skips conflict
+    # tracking (it is the hot gather path under the sanitizer)
+    xbuf = device.to_device(x.reshape(-1), "points", const=True)
+    return _DeviceLists(device, x.shape[0], config.k, config.strategy, xbuf)
 
 
 def _launch_leaf(
@@ -75,27 +139,14 @@ def _launch_leaf(
     if leaf_len < 2:
         return
     leaf_buf = device.to_device(leaf.astype(np.int64), "leaf", const=True)
-    if lists.strategy == "baseline":
-        device.launch(
-            leaf_kernels.leaf_kernel_baseline,
-            grid_blocks=leaf_len,
-            block_warps=1,
-            args=(xbuf, lists.dists, lists.ids, lists.locks, leaf_buf, leaf_len, dim, k),
-        )
-    elif lists.strategy == "atomic":
-        device.launch(
-            leaf_kernels.leaf_kernel_atomic,
-            grid_blocks=leaf_len,
-            block_warps=1,
-            args=(xbuf, lists.packed, leaf_buf, leaf_len, dim, k),
-        )
-    else:
-        device.launch(
-            leaf_kernels.leaf_kernel_tiled,
-            grid_blocks=1,
-            block_warps=leaf_len,
-            args=(xbuf, lists.dists, lists.ids, leaf_buf, leaf_len, dim, k),
-        )
+    # tiled: one block, a warp per leaf row; the others: a block per row
+    grid, warps = (1, leaf_len) if lists.strategy == "tiled" else (leaf_len, 1)
+    device.launch(
+        getattr(leaf_kernels, f"leaf_kernel_{lists.strategy}"),
+        grid_blocks=grid,
+        block_warps=warps,
+        args=(xbuf, *lists.buffers, leaf_buf, leaf_len, dim, k),
+    )
 
 
 def _launch_pairs(
@@ -117,36 +168,13 @@ def _launch_pairs(
     cols_buf = device.to_device(scols.astype(np.int64), "ref_cols", const=True)
     starts_buf = device.to_device(starts.astype(np.int64), "ref_starts", const=True)
     counts_buf = device.to_device(counts.astype(np.int64), "ref_counts", const=True)
-    if lists.strategy == "baseline":
-        device.launch(
-            pairs_kernels.pairs_kernel_baseline,
-            grid_blocks=n_groups,
-            block_warps=1,
-            args=(
-                xbuf, lists.dists, lists.ids, lists.locks,
-                rows_buf, cols_buf, starts_buf, counts_buf, n_groups, dim, k,
-            ),
-        )
-    elif lists.strategy == "atomic":
-        device.launch(
-            pairs_kernels.pairs_kernel_atomic,
-            grid_blocks=n_groups,
-            block_warps=1,
-            args=(
-                xbuf, lists.packed,
-                rows_buf, cols_buf, starts_buf, counts_buf, n_groups, dim, k,
-            ),
-        )
-    else:
-        device.launch(
-            pairs_kernels.pairs_kernel_tiled,
-            grid_blocks=n_groups,
-            block_warps=1,
-            args=(
-                xbuf, lists.dists, lists.ids,
-                rows_buf, cols_buf, starts_buf, counts_buf, n_groups, dim, k,
-            ),
-        )
+    device.launch(
+        getattr(pairs_kernels, f"pairs_kernel_{lists.strategy}"),
+        grid_blocks=n_groups,
+        block_warps=1,
+        args=(xbuf, *lists.buffers, rows_buf, cols_buf, starts_buf, counts_buf,
+              n_groups, dim, k),
+    )
 
 
 def build_knng_simt(points: np.ndarray, config: BuildConfig,
@@ -161,92 +189,12 @@ def build_knng_simt(points: np.ndarray, config: BuildConfig,
     :class:`~repro.obs.Observability` additionally exposes every simulated
     kernel launch through the ``kernel_dispatch`` hooks.
     """
-    from repro.core.builder import BuildReport  # local: avoid import cycle
+    from repro.core.builder import run_build  # local: avoid import cycle
     from repro.obs import Observability
-    from repro.simt.metrics import METRICS_PREFIX as SIMT_PREFIX
 
     x = check_points_matrix(points, "points")
-    n, dim = x.shape
     obs = obs if obs is not None else Observability()
-    device = device or Device(DeviceConfig())
-    if device.obs is None:
-        device.obs = obs
-    if config.k > device.config.warp_size:
-        raise ConfigurationError(
-            f"the simt backend requires k <= warp_size "
-            f"({device.config.warp_size}), got k={config.k}"
-        )
-    forest_rng, refine_rng = spawn_streams(config.seed, 2)
-    counters_before = BuildReport.counters_snapshot(obs, SIMT_PREFIX)
-
-    with obs.trace.span("build", backend="simt", n=n, dim=dim, k=config.k,
-                        strategy=config.strategy):
-        with obs.trace.span("forest"):
-            forest = build_forest(x, config.n_trees, config.leaf_size,
-                                  forest_rng, obs=obs)
-            sizes = forest.leaf_sizes()
-            obs.metrics.gauge("forest/n_leaves").set(float(sizes.size))
-            obs.metrics.gauge("forest/mean_leaf_size").set(float(sizes.mean()))
-            obs.metrics.gauge("forest/max_leaf_size").set(float(sizes.max()))
-
-        with obs.trace.span("leaf_pairs"):
-            # the point matrix is kernel input only: const skips conflict
-            # tracking (it is the hot gather path under the sanitizer)
-            xbuf = device.to_device(x.reshape(-1), "points", const=True)
-            lists = _DeviceLists(device, n, config.k, config.strategy)
-            for _ti, leaf in forest.iter_leaves():
-                _launch_leaf(device, lists, xbuf, leaf, dim, config.k)
-
-        with obs.trace.span("refine"):
-            rng = as_generator(refine_rng)
-            sample = config.effective_refine_sample()
-            refine_state = RefineState()
-            for round_idx in range(config.refine_iters):
-                with obs.trace.span(f"round-{round_idx}") as round_span:
-                    state = lists.to_state()
-                    rows, cols, _ = join_candidates(
-                        state, refine_state, rng, sample)
-                    refine_state.rounds_run += 1
-                    if rows.size == 0:
-                        round_span.set(converged=True)
-                        break
-                    before = lists.to_state().filled_counts().sum()
-                    _launch_pairs(device, lists, xbuf, rows, cols, dim, config.k)
-                    inserted = int(lists.to_state().filled_counts().sum() - before)
-                    round_span.set(inserted=inserted,
-                                   candidates=int(rows.size))
-                    obs.metrics.counter("refine/candidate_pairs").inc(int(rows.size))
-                    obs.metrics.counter("refine/insertions").inc(inserted)
-
-        with obs.trace.span("finalize"):
-            state = lists.to_state()
-            ids, dists = state.sorted_arrays()
-
-    device.metrics.emit(obs.metrics, prefix=SIMT_PREFIX)
-    report = BuildReport.from_obs(
-        obs, counters_prefix=SIMT_PREFIX, counters_baseline=counters_before,
-        metric=config.metric, strategy=config.strategy,
-        parallel={"n_jobs": 1, "workers": 1},
-    )
-    meta = {
-        "algorithm": "w-knng",
-        "strategy": config.strategy,
-        "backend": "simt",
-        "config": config,
-        "simt_metrics": device.metrics.as_dict(),
-        "estimated_cycles": device.metrics.estimated_cycles(device.config),
-        "report": report.as_dict(),
-    }
-    if device.sanitizer is not None:
-        # raise mode would have aborted the build at the first finding, so
-        # this summary is the report-mode record of what wksan saw
-        meta["sanitizer"] = device.sanitizer.report().as_dict()
-    graph = KNNGraph(
-        ids=ids,
-        dists=dists,
-        meta=meta,
-        report=report,
-    )
+    graph, report, _forest = run_build(x, config, obs, device_lists(x, config, obs, device))
     return graph, report
 
 

@@ -207,3 +207,51 @@ class TestSimtPipeline:
         g0 = WKNNGBuilder(BuildConfig(refine_iters=0, **base)).build(tiny_points)
         g2 = WKNNGBuilder(BuildConfig(refine_iters=2, **base)).build(tiny_points)
         assert knn_recall(g2.ids, tiny_gt[0]) >= knn_recall(g0.ids, tiny_gt[0])
+
+
+class TestSharedBuildDriver:
+    """Both backends run one driver: same forest, stop rule and report."""
+
+    @staticmethod
+    def _config(backend, **overrides):
+        base = dict(k=5, n_trees=2, leaf_size=12, refine_iters=3, seed=0,
+                    strategy="atomic", backend=backend)
+        return BuildConfig(**{**base, **overrides})
+
+    @pytest.fixture(scope="class")
+    def mixture(self):
+        from repro.data.synthetic import gaussian_mixture
+
+        return gaussian_mixture(120, 8, n_clusters=4, seed=0)
+
+    def test_simt_counts_refine_insertions(self, mixture):
+        from repro.obs import Observability
+        from repro.obs.hooks import Events
+
+        obs = Observability()
+        hooked = []
+        obs.hooks.subscribe(Events.REFINE_ROUND_AFTER,
+                            lambda event, payload: hooked.append(payload["inserted"]))
+        _, report = WKNNGBuilder(self._config("simt"), obs=obs).build(
+            mixture, return_report=True)
+        assert report.refine_insertions[0] > 0
+        assert hooked == report.refine_insertions
+        assert report.metrics["refine/insertions"] == sum(report.refine_insertions)
+
+    def test_backends_build_the_same_spill_forest(self, mixture):
+        stats = [
+            WKNNGBuilder(self._config(backend, spill=0.3, refine_iters=0)).build(
+                mixture, return_report=True)[1].leaf_stats
+            for backend in ("vectorized", "simt")
+        ]
+        assert stats[0] == stats[1]
+        assert stats[0]["n_leaves"] > 2 * 120 / 12
+
+    def test_simt_build_keeps_forest_for_search(self, mixture):
+        from repro.apps.search import GraphSearchIndex
+
+        index = GraphSearchIndex.build(
+            mixture, build_config=self._config("simt", refine_iters=1))
+        ids, _ = index.search(mixture[:4], 5)
+        assert ids.shape == (4, 5)
+        assert (ids[:, 0] == np.arange(4)).all()
