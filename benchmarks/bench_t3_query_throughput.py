@@ -1,6 +1,6 @@
 """T3 - query throughput: the batched lock-step engine vs the legacy loop.
 
-The batched engine (:class:`repro.apps.search.BatchedGraphSearch`) answers
+The batched engine (:meth:`repro.apps.search.GraphSearchIndex.search`) answers
 a whole query batch in vectorized lock-step rounds; the legacy reference
 (``search_legacy`` in ``search_oracle.py`` beside this file) walks queries
 one at a time through a Python heapq loop.  Both expand nodes in the same

@@ -348,7 +348,7 @@ def test_t8_rerank_distances_exact(corpus, base_index):
         ids, dists = index.search(sample, TOP_K)
         valid = ids >= 0
         exact = sq_l2_query_gather(
-            index._prepare_queries(sample), index._engine._x,
+            index._prepare_queries(sample), index.points,
             np.where(valid, ids, -1).astype(np.int64),
         )
         assert np.allclose(np.where(valid, dists, 0.0),
@@ -376,20 +376,15 @@ def test_t8_persistence_roundtrip(corpus, base_index, tmp_path):
 def test_t8_quantized_cluster_smoke(corpus):
     """Cluster shards build and serve from quantized stores end to end."""
     from repro.core.config import BuildConfig
-    from repro.serve import (
-        ClusterClient,
-        ClusterConfig,
-        QuantizationPolicy,
-        ServeConfig,
-    )
+    from repro.serve import ClusterClient, ClusterConfig, ServeConfig
 
     x, q, gt = corpus
     sample = q[:min(64, q.shape[0])]
-    serve = ServeConfig(quant=QuantizationPolicy(mode="sq8"), ef=EF)
+    serve = ServeConfig(ef=EF)
     with ClusterClient.build(
         x,
         build_config=BuildConfig(k=16, strategy="tiled", seed=0),
-        search_config=SearchConfig(ef=EF, **serve.quant.to_search_fields()),
+        search_config=SearchConfig(ef=EF, quantization="sq8"),
         seed=0,
         config=ClusterConfig(n_shards=2, backend="thread", serve=serve),
     ) as client:

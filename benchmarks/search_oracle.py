@@ -2,7 +2,7 @@
 
 Best-first graph search one query at a time, over a fitted
 :class:`~repro.apps.search.GraphSearchIndex`.  With ``frontier=1`` the
-batched engine (:class:`~repro.apps.search.BatchedGraphSearch`) expands
+batched engine (:meth:`~repro.apps.search.GraphSearchIndex.search`) expands
 nodes in exactly this order and returns identical results on tie-free
 inputs, so this loop is the parity oracle of the search tests and the
 single-query baseline of the T3 throughput benchmark.  It is not part of
@@ -32,14 +32,14 @@ def _seed_candidates(index: GraphSearchIndex, query: np.ndarray) -> np.ndarray:
         members = tree.leaves[leaf_idx]
         seeds.append(members[: index.config.seeds_per_tree])
     return np.unique(np.concatenate(seeds)) if seeds else np.arange(
-        min(index.config.ef, index._engine._x.shape[0])
+        min(index.config.ef, index.n)
     )
 
 
 def _search_one(
     index: GraphSearchIndex, query: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    x = index._engine._x
+    x = index.points
     cfg = index.config
     seeds = _seed_candidates(index, query)
     d = rowwise_sq_norm(x[seeds] - query)

@@ -61,7 +61,7 @@ def main() -> None:
         # emitted distances are exact regardless of tier: recompute the
         # returned pairs against the full-precision vectors
         exact = sq_l2_query_gather(
-            index._prepare_queries(queries), index._engine._x,
+            index._prepare_queries(queries), index.points,
             ids.astype(np.int64),
         )
         assert np.allclose(dists, exact, rtol=1e-5, atol=1e-5)

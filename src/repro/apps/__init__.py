@@ -17,7 +17,7 @@ both are implemented here end to end:
 """
 
 from repro.apps.tsne import TSNE, TSNEConfig
-from repro.apps.search import BatchedGraphSearch, GraphSearchIndex, SearchConfig
+from repro.apps.search import GraphSearchIndex, SearchConfig
 from repro.apps.labelprop import LabelPropagation, LabelPropConfig
 from repro.apps.spectral import SpectralConfig, SpectralEmbedding
 from repro.apps.dedup import DedupConfig, Deduplicator
@@ -29,7 +29,6 @@ from repro.neighbors import DBSCANConfig, KNNDBSCAN, knn_graph, radius_graph
 __all__ = [
     "TSNE",
     "TSNEConfig",
-    "BatchedGraphSearch",
     "GraphSearchIndex",
     "SearchConfig",
     "LabelPropagation",

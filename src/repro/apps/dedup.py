@@ -8,8 +8,9 @@ rows.  With the K-NN graph in hand the problem is two cheap passes:
    threshold - either absolute or calibrated automatically from the edge
    distance distribution (duplicate edges sit in a separated low-distance
    mode; the default takes a low quantile with a floor);
-2. **clustering**: union-find over the kept edges; each component with
-   more than one member is a duplicate group.
+2. **clustering**: vectorized connected components over the kept edges
+   (:func:`repro.neighbors.unionfind.connected_components`); each
+   component with more than one member is a duplicate group.
 
 Everything after graph construction is O(edges), so the K-NN build - the
 part this library accelerates - dominates, exactly as in the paper's
@@ -24,7 +25,7 @@ import numpy as np
 
 from repro.core.graph import KNNGraph
 from repro.errors import ConfigurationError
-from repro.metrics.connectivity import UnionFind
+from repro.neighbors.unionfind import connected_components
 
 
 @dataclass
@@ -90,13 +91,14 @@ class Deduplicator:
         rows = np.repeat(np.arange(graph.n), valid.sum(axis=1))
         cols = graph.ids[valid].astype(np.int64)
         close = graph.dists[valid] <= thr
-        uf = UnionFind(graph.n)
-        for a, b in zip(rows[close].tolist(), cols[close].tolist()):
-            uf.union(a, b)
-        members: dict[int, list[int]] = {}
-        for i in range(graph.n):
-            members.setdefault(uf.find(i), []).append(i)
-        groups = [sorted(g) for g in members.values() if len(g) > 1]
+        # labels are component-minimum ids: a stable sort by label lists
+        # components by their smallest member, members ascending
+        labels = connected_components(graph.n, rows[close], cols[close])
+        order = np.argsort(labels, kind="stable")
+        _, starts, sizes = np.unique(
+            labels[order], return_index=True, return_counts=True)
+        groups = [order[s:s + c].tolist()
+                  for s, c in zip(starts, sizes) if c > 1]
         groups.sort(key=len, reverse=True)
         return groups
 

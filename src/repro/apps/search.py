@@ -15,23 +15,25 @@ search** (the idea behind HNSW/NSG-style engines):
 Recall is controlled by the beam width (``ef``), exactly like ``efSearch``
 in HNSW - giving the same accuracy/time dial the benchmarks use.
 
-Two engines implement those semantics:
+:class:`GraphSearchIndex` owns the index state (prepared points, graph,
+forest, optional quantized store) and answers queries with a lock-step
+engine: all live queries advance in **rounds**; each round selects every
+query's best unexpanded beam entries, gathers their graph neighbours as
+one ``(m, frontier, k)`` index matrix, masks already-visited nodes with
+per-query visited filters, scores all fresh candidates with a single
+batched gather (:func:`repro.kernels.distance.sq_l2_query_gather`) and
+merges them into the per-query beams with the same ``argpartition``
+select-k the build-time :meth:`~repro.kernels.knn_state.KnnState.merge_rows`
+uses.  Large batches shard across forked workers
+(:func:`repro.utils.parallel.map_forked`).  The per-query heapq loop -
+best-first expansion one query at a time - is kept outside the library as
+the tests' and T3 bench's reference oracle (``benchmarks/search_oracle.py``);
+with ``frontier=1`` the engine expands nodes in exactly the same order and
+returns identical results on tie-free inputs.
 
-* :class:`BatchedGraphSearch` - the production engine.  All live queries
-  advance in **lock-step rounds**: each round selects every query's best
-  unexpanded beam entries, gathers their graph neighbours as one
-  ``(m, frontier, k)`` index matrix, masks already-visited nodes with
-  per-query uint64 bitsets, scores all fresh candidates with a single
-  batched gather (:func:`repro.kernels.distance.sq_l2_query_gather`) and
-  merges them into the per-query beams with the same ``argpartition``
-  select-k the build-time :meth:`~repro.kernels.knn_state.KnnState.merge_rows`
-  uses.  Large batches shard across forked workers
-  (:func:`repro.utils.parallel.map_forked`).
-* the per-query heapq loop - best-first expansion one query at a time,
-  kept outside the library as the tests' and T3 bench's reference oracle
-  (``benchmarks/search_oracle.py``); with ``frontier=1`` the batched
-  engine expands nodes in exactly the same order and returns identical
-  results on tie-free inputs.
+Beam entries and cross-shard merges share one packed-key codec
+(:func:`pack_keys` / :func:`unpack_keys`): an int64 whose high 32 bits are
+the float32 distance's bit pattern and whose low 31 bits are the id.
 
 **Metric handling**: the builder constructs graph and forest in the
 *prepared* space of ``BuildConfig.metric`` (L2-normalised for cosine, see
@@ -45,7 +47,7 @@ cosine distance).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -63,7 +65,7 @@ from repro.kernels.distance import (
     sq_l2_query_gather,
 )
 from repro.obs import Events, Observability
-from repro.utils.arrays import blockwise_ranges
+from repro.utils.arrays import blockwise_ranges, dedupe_per_row
 from repro.utils.parallel import map_forked, shard_ranges
 from repro.utils.validation import (
     check_points_matrix,
@@ -78,16 +80,16 @@ _QUERY_BLOCK = 4096
 #: registry namespace the query engine's metrics emit under
 QUERY_METRICS_PREFIX = "query/"
 
-# Packed beam-key layout (see BatchedGraphSearch._search_chunk): the high
-# 32 bits hold the float32 distance's bit pattern (order-preserving for
-# the non-negative squared distances this library uses), bit 31 flags an
-# expanded entry, bits 0..30 hold the node id.
+# Packed-key layout (see pack_keys): the high 32 bits hold the float32
+# distance's bit pattern (order-preserving for the non-negative squared
+# distances this library uses), bits 0..30 hold the id.  Inside the
+# engine's beams bit 31 flags an expanded entry.
 _EXPANDED_BIT = np.int64(1) << 31
 _ID_MASK = np.int64((1 << 31) - 1)
 _ID_CAPACITY = 1 << 31
 #: any key at or above this has a non-finite distance (inf bit pattern)
 _INF_KEY = np.int64(0x7F800000) << 32
-#: empty beam slot: quiet-NaN distance bits, sorts after every real entry
+#: empty slot: quiet-NaN distance bits, sorts after every real entry
 _EMPTY_KEY = np.int64(0x7FC00000) << 32
 #: visited-filter budget: dense boolean matrix below, uint64 bitsets above
 _DENSE_VISITED_BYTES = 1 << 27
@@ -109,13 +111,12 @@ class SearchConfig:
     max_expansions:
         Safety cap on node expansions per query.
     frontier:
-        Beam entries expanded per query per lock-step round (batched
-        engine only).  ``1`` reproduces the legacy best-first expansion
-        order exactly; larger values trade a few wasted expansions for
-        fewer, fatter rounds.
+        Beam entries expanded per query per lock-step round.  ``1``
+        reproduces the legacy best-first expansion order exactly; larger
+        values trade a few wasted expansions for fewer, fatter rounds.
     n_jobs:
         Fork-shard query batches across this many worker processes
-        (batched engine only; ``1`` = serial, results are identical).
+        (``1`` = serial, results are identical).
     quantization:
         Compressed-tier spec for candidate scoring: ``"none"`` (score
         float32 vectors, the default), ``"sq8"`` or ``"pq<M>"`` (score
@@ -153,75 +154,419 @@ class SearchConfig:
             raise ConfigurationError(f"rerank must be >= 0, got {self.rerank}")
 
 
-def _dedupe_rows(ids: np.ndarray) -> np.ndarray:
-    """Mask repeated ids within each row to ``-1`` (first occurrence wins)."""
-    order = np.argsort(ids, axis=1, kind="stable")
-    in_order = np.take_along_axis(ids, order, axis=1)
-    dup_sorted = np.zeros(ids.shape, dtype=bool)
-    dup_sorted[:, 1:] = in_order[:, 1:] == in_order[:, :-1]
-    dup = np.zeros(ids.shape, dtype=bool)
-    np.put_along_axis(dup, order, dup_sorted, axis=1)
-    return np.where(dup, -1, ids)
+# -- the packed-key codec -------------------------------------------------------
 
 
-def _forked_search_block(shared, start: int, end: int, k: int, config: SearchConfig):
-    """Worker body for fork-sharded batched search (module-level for fork)."""
-    engine, queries = shared
-    return engine._search_block(queries[start:end], k, config)
+def pack_keys(ids: np.ndarray, dists: np.ndarray) -> np.ndarray:
+    """Pack ``(id, dist)`` matrices into int64 sort keys.
+
+    ``key = float32_bits(dist) << 32 | id``.  The IEEE-754 bit pattern of
+    a non-negative float is monotone in its value, so comparing keys
+    compares ``(dist, id)`` lexicographically: one sort or partition of a
+    key matrix is a select-k with id tie-break and no index gathers.
+    Slots with ``id < 0`` become the empty key, which sorts after every
+    real entry (even ``+inf``).
+    """
+    ids64 = np.asarray(ids, dtype=np.int64)
+    bits = np.ascontiguousarray(
+        np.asarray(dists, dtype=np.float32)
+    ).view(np.uint32).astype(np.int64)
+    return np.where(ids64 >= 0, (bits << 32) | (ids64 & _ID_MASK), _EMPTY_KEY)
 
 
-class BatchedGraphSearch:
-    """Batched, vectorized graph-guided beam search.
+def unpack_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`pack_keys`: ``(ids int32, dists float32)``.
 
-    Operates in the *prepared* (kernel) space: ``points`` must already be
-    transformed for the graph's metric, and so must every query matrix
-    passed to :meth:`search` - :class:`GraphSearchIndex` owns that
-    transformation.  The engine itself is metric-agnostic, exactly like
-    the build kernels.
+    Keys with a non-finite distance (empty slots and ``+inf`` entries)
+    decode to ``-1`` / ``+inf``, the library-wide unfilled-slot marker.
+    """
+    dists = (keys >> 32).astype(np.uint32).view(np.float32)
+    found = np.isfinite(dists)
+    ids = np.where(found, (keys & _ID_MASK).astype(np.int32), np.int32(-1))
+    return ids, np.where(found, dists, np.float32(np.inf))
+
+
+# -- work counters --------------------------------------------------------------
+
+
+def _empty_stats(queries: int = 0) -> dict[str, Any]:
+    return {"queries": queries, "rounds": 0, "expansions": 0,
+            "distance_evals": 0, "rerank_evals": 0, "round_expansions": []}
+
+
+def _concat_parts(
+    parts: list[tuple[np.ndarray, np.ndarray, dict[str, Any]]],
+) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
+    """Stack per-block/per-shard results row-wise and add their counters.
+
+    Rounds overlap across parts, so the per-round expansion lists add
+    elementwise and ``rounds`` is their length.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    stats = _empty_stats()
+    rounds = stats["round_expansions"]
+    for _, _, part in parts:
+        for key in ("queries", "expansions", "distance_evals", "rerank_evals"):
+            stats[key] += part[key]
+        b = part["round_expansions"]
+        rounds.extend([0] * max(0, len(b) - len(rounds)))
+        for i, v in enumerate(b):
+            rounds[i] += v
+    stats["rounds"] = len(rounds)
+    ids = np.concatenate([p[0] for p in parts], axis=0)
+    dists = np.concatenate([p[1] for p in parts], axis=0)
+    return ids, dists, stats
+
+
+class GraphSearchIndex:
+    """Graph-guided approximate nearest-neighbour search index.
+
+    Usage::
+
+        index = GraphSearchIndex.build(points, k=16, seed=0)
+        ids, dists = index.search(queries, k=10)
+
+    or through the :class:`~repro.baselines.KNNIndex` engine protocol::
+
+        index = GraphSearchIndex().fit(points)
+        ids, dists = index.query(queries, k=10)
+        index.stats()
+
+    The index stores its points (:attr:`points`) in the *prepared* space
+    of the graph's build metric (``graph.meta["metric"]``; see
+    :mod:`repro.core.metric`) and transforms incoming queries the same
+    way, so tree routing and beam scoring happen in the space the graph
+    was built in.
 
     Per-query state during a search: a beam of ``ef`` ``(id, dist,
-    expanded)`` slots and a visited bitset of ``ceil(n / 64)`` uint64
-    words.  All queries of a block advance together; a query leaves the
-    lock-step as soon as every beam entry is expanded (nothing left that
-    could improve its result) or its expansion budget is exhausted.
+    expanded)`` slots and a visited filter over the ``n`` points.  All
+    queries of a block advance together; a query leaves the lock-step as
+    soon as every beam entry is expanded (nothing left that could improve
+    its result) or its expansion budget is exhausted.
 
-    With a :class:`~repro.core.quant.QuantizedStore` attached, beam
-    scoring runs over uint8 codes via the asymmetric-distance kernel
+    With a :class:`~repro.core.quant.QuantizedStore` attached
+    (:attr:`store`), beam scoring runs over uint8 codes via the
+    asymmetric-distance kernel
     (:func:`repro.kernels.distance.adc_l2_query_gather`): per-chunk
     lookup tables replace the float32 gathers, and a final *rerank*
     stage re-scores the top beam with the full-precision matrix so the
     emitted ``(ids, dists)`` carry exact distances.
     """
 
-    def __init__(
-        self,
+    def __init__(self, points: np.ndarray | None = None,
+                 graph: KNNGraph | None = None, forest: RPForest | None = None,
+                 config: SearchConfig | None = None, *,
+                 build_config: BuildConfig | None = None,
+                 obs: Observability | None = None) -> None:
+        self.config = config or SearchConfig()
+        self.obs = obs
+        self._build_config = build_config
+        self.graph: KNNGraph | None = None
+        self.forest: RPForest | None = None
+        #: the attached compressed tier (``None`` when serving float32)
+        self.store: QuantizedStore | None = None
+        self._x: np.ndarray | None = None
+        self._metric_info: dict = {}
+        self.metric = "sqeuclidean"
+        #: work counters of the most recent :meth:`search` call
+        self.last_query_stats: dict[str, Any] = {}
+        if points is not None:
+            if graph is None or forest is None:
+                raise ConfigurationError(
+                    "constructing from points requires graph and forest "
+                    "(use GraphSearchIndex.build or fit to create them)"
+                )
+            self._attach(points, graph, forest)
+
+    def _attach(self, points: np.ndarray, graph: KNNGraph, forest: RPForest,
+                *, prepared: bool = False,
+                store: QuantizedStore | None = None) -> None:
+        x = check_points_matrix(points, "points")
+        metric = check_metric(str(graph.meta.get("metric", "sqeuclidean")))
+        if metric == "inner_product":
+            raise ConfigurationError(
+                "inner_product graphs are not supported by graph-guided "
+                "search (the build pipeline rejects the metric)"
+            )
+        self.metric = metric
+        if prepared:
+            # points are already in prepared space (the persisted form);
+            # re-preparing would renormalise cosine data by a norm of
+            # 1.0±ulp and break byte-identical load round-trips
+            self._metric_info = {"normalized": True} if metric == "cosine" else {}
+        else:
+            x, self._metric_info = prepare_points(x, metric)
+        if graph.n != x.shape[0]:
+            raise ConfigurationError(
+                f"graph has {graph.n} nodes but points has {x.shape[0]} rows"
+            )
+        if store is not None and (store.n, store.dim) != x.shape:
+            raise ConfigurationError(
+                f"quantized store shape ({store.n}, {store.dim}) does not "
+                f"match points {x.shape}"
+            )
+        if store is None and self.config.quantization != "none":
+            # codes live in the prepared (kernel) space, same as the graph's
+            # edges - fit here so routing, ADC scoring and rerank agree
+            store = QuantizedStore.fit(x, self.config.quantization, seed=0)
+        self._x = x
+        self.graph = graph
+        self.forest = forest
+        self.store = store
+
+    def _require_fitted(self) -> "GraphSearchIndex":
+        if self._x is None:
+            raise ConfigurationError("search() before fit()/build(): no index data")
+        return self
+
+    # -- construction ----------------------------------------------------------
+
+    @classmethod
+    def build(
+        cls,
+        points: np.ndarray,
+        k: int = 16,
+        build_config: BuildConfig | None = None,
+        search_config: SearchConfig | None = None,
+        seed=None,
+        *,
+        obs: Observability | None = None,
+    ) -> "GraphSearchIndex":
+        """Build the K-NN graph (keeping the forest) and wrap it for search.
+
+        ``obs`` is handed to the builder as well, so one session records
+        the build spans and every later ``query`` span.
+        """
+        cfg = build_config or BuildConfig(k=k, strategy="tiled", seed=seed)
+        return cls(config=search_config, build_config=cfg, obs=obs).fit(points)
+
+    @classmethod
+    def from_parts(
+        cls,
         points: np.ndarray,
         graph: KNNGraph,
         forest: RPForest,
         config: SearchConfig | None = None,
         *,
+        prepared: bool = False,
         store: QuantizedStore | None = None,
         obs: Observability | None = None,
-    ) -> None:
-        self._x = check_points_matrix(points, "points")
-        if graph.n != self._x.shape[0]:
-            raise ConfigurationError(
-                f"graph has {graph.n} nodes but points has {self._x.shape[0]} rows"
-            )
-        if store is not None and (store.n, store.dim) != self._x.shape:
-            raise ConfigurationError(
-                f"quantized store shape ({store.n}, {store.dim}) does not "
-                f"match points {self._x.shape}"
-            )
-        self.graph = graph
-        self.forest = forest
-        self.config = config or SearchConfig()
-        self.store = store
-        self.obs = obs
-        #: work counters of the most recent :meth:`search` call
-        self.last_query_stats: dict[str, Any] = {}
+    ) -> "GraphSearchIndex":
+        """Wrap an existing ``(points, graph, forest)`` triple for search.
 
-    # -- seeding -----------------------------------------------------------------
+        With ``prepared=True`` the points are taken as already transformed
+        into the graph metric's kernel space and are *not* re-prepared -
+        the constructor the mutable index uses to publish a new snapshot
+        without renormalising (and therefore without perturbing) the
+        stored vectors.  An explicit ``store`` attaches an existing
+        quantized tier instead of fitting a fresh one - how the mutable
+        index keeps codebooks frozen across insert flips.
+        """
+        index = cls(config=config, obs=obs)
+        index._attach(points, graph, forest, prepared=prepared, store=store)
+        return index
+
+    def fit(self, points: np.ndarray) -> "GraphSearchIndex":
+        """Engine-protocol ingest: build graph + forest over ``points``."""
+        cfg = self._build_config or BuildConfig(k=16, strategy="tiled", seed=0)
+        builder = WKNNGBuilder(cfg, obs=self.obs)
+        graph = builder.build(points)
+        assert builder.last_forest is not None
+        self._attach(points, graph, builder.last_forest)
+        return self
+
+    # -- persistence -----------------------------------------------------------
+
+    def save(self, directory) -> None:
+        """Persist points, graph (with its metric metadata) and forest.
+
+        The stored points are in prepared space; since metric preparation
+        is idempotent for the graph-supported metrics, :meth:`load`
+        re-applies it safely.  The search configuration (``ef`` and
+        friends) is persisted alongside in ``search_config.json`` so a
+        loaded index serves with the same defaults - ``repro serve
+        --load-index`` depends on this for byte-identical results.
+        """
+        import dataclasses
+        import json
+        from pathlib import Path
+
+        self._require_fitted()
+        d = Path(directory)
+        d.mkdir(parents=True, exist_ok=True)
+        np.save(d / "points.npy", self._x)
+        assert self.graph is not None and self.forest is not None
+        self.graph.save(d / "graph.npz")
+        self.forest.save(d / "forest.npz")
+        if self.store is not None:
+            self.store.save(d / "quant.npz")
+        (d / "search_config.json").write_text(
+            json.dumps(dataclasses.asdict(self.config), indent=2)
+        )
+
+    @classmethod
+    def load(cls, directory, config: SearchConfig | None = None,
+             *, obs: Observability | None = None) -> "GraphSearchIndex":
+        """Inverse of :meth:`save`.
+
+        The graph's persisted ``meta`` carries the build metric, so the
+        restored index scores queries in the same prepared space as the
+        original (the cosine-correctness fix depends on this).  An
+        explicit ``config`` overrides the persisted search defaults;
+        indexes saved before ``search_config.json`` existed load with
+        stock defaults.
+        """
+        import json
+        from pathlib import Path
+
+        d = Path(directory)
+        if config is None and (d / "search_config.json").exists():
+            config = SearchConfig(
+                **json.loads((d / "search_config.json").read_text())
+            )
+        index = cls(config=config, obs=obs)
+        store = None
+        if index.config.quantization != "none" and (d / "quant.npz").exists():
+            store = QuantizedStore.load(d / "quant.npz")
+            if store.spec != index.config.quantization:
+                store = None  # spec changed since save: refit in _attach
+        index._attach(
+            np.load(d / "points.npy"),
+            KNNGraph.load(d / "graph.npz"),
+            RPForest.load(d / "forest.npz"),
+            prepared=True,
+            store=store,
+        )
+        return index
+
+    # -- read surface ------------------------------------------------------------
+
+    @property
+    def points(self) -> np.ndarray:
+        """The indexed points in prepared (kernel) space, read-only.
+
+        These are the rows the engine scores and :meth:`save` writes to
+        ``points.npy`` (unit-norm under cosine).
+        """
+        view = self._require_fitted()._x.view()
+        view.flags.writeable = False
+        return view
+
+    @property
+    def dim(self) -> int:
+        """Dimensionality of the indexed points (prepared space)."""
+        return self._require_fitted()._x.shape[1]
+
+    @property
+    def n(self) -> int:
+        """Number of indexed points."""
+        return self._require_fitted()._x.shape[0]
+
+    def _prepare_queries(self, queries: np.ndarray) -> np.ndarray:
+        q = check_query_matrix(queries, self.dim, "queries")
+        prepared, _ = prepare_points(
+            q, self.metric, is_query=True,
+            max_norm=self._metric_info.get("max_norm"),
+        )
+        return prepared
+
+    # -- queries -----------------------------------------------------------------
+
+    def search(self, queries: np.ndarray, k: int, *,
+               ef: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Approximate k-NN for each query row.
+
+        Returns ``(ids, dists)`` of shape ``(m, k)``, ascending by
+        distance; unfilled slots carry ``-1`` / ``+inf``; ``dists`` are
+        squared L2 in the index's prepared metric space, like everywhere
+        in the library.  ``ef`` overrides the configured beam width for
+        this call only - the dial the serving layer's degradation policy
+        turns under load.  With ``config.n_jobs > 1`` the query matrix is
+        sharded across forked workers; results (and stats) are identical
+        to the serial run.
+        """
+        q = self._prepare_queries(queries)
+        k = check_positive_int(k, "k")
+        cfg = self.config
+        if ef is not None and ef != cfg.ef:
+            cfg = replace(cfg, ef=check_positive_int(ef, "ef"))
+        obs = self.obs
+        m = q.shape[0]
+        t0 = time.perf_counter()
+        shards = [(s, e, k, cfg) for s, e in shard_ranges(m, cfg.n_jobs)]
+        if obs is None:
+            ids, dists, stats = _concat_parts(
+                map_forked(self._search_block, q, shards, cfg.n_jobs))
+        else:
+            obs.hooks.emit(Events.QUERY_BATCH_BEFORE,
+                           queries=m, k=k, ef=cfg.ef, n_jobs=cfg.n_jobs)
+            with obs.trace.span("query", queries=m, k=k, ef=cfg.ef) as sp:
+                ids, dists, stats = _concat_parts(
+                    map_forked(self._search_block, q, shards, cfg.n_jobs))
+                sp.set(rounds=stats["rounds"], expansions=stats["expansions"],
+                       round_expansions=list(stats["round_expansions"]))
+        stats["seconds"] = time.perf_counter() - t0
+        self.last_query_stats = stats
+        if obs is not None:
+            qm = obs.metrics.scoped(QUERY_METRICS_PREFIX)
+            qm.counter("batches").inc()
+            qm.counter("queries").inc(stats["queries"])
+            qm.counter("rounds").inc(stats["rounds"])
+            qm.counter("expansions").inc(stats["expansions"])
+            qm.counter("distance_evals").inc(stats["distance_evals"])
+            qm.counter("rerank_evals").inc(stats["rerank_evals"])
+            qm.histogram("batch_seconds").observe(stats["seconds"])
+            obs.hooks.emit(Events.QUERY_BATCH_AFTER,
+                           queries=m, k=k, ef=cfg.ef, seconds=stats["seconds"],
+                           rounds=stats["rounds"], expansions=stats["expansions"],
+                           distance_evals=stats["distance_evals"])
+        return ids, dists
+
+    def query(self, queries: np.ndarray, k: int, *,
+              ef: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """:class:`~repro.baselines.KNNIndex` protocol alias of :meth:`search`.
+
+        ``ef`` is the protocol-wide per-call quality dial; here it is the
+        beam width, exactly as in :meth:`search`.
+        """
+        return self.search(queries, k, ef=ef)
+
+    def stats(self) -> dict[str, Any]:
+        """Work counters of the most recent search (engine protocol)."""
+        self._require_fitted()
+        out: dict[str, Any] = {"engine": "wknng-graph", "metric": self.metric}
+        for key, value in self.last_query_stats.items():
+            if key != "round_expansions":
+                out[key] = value
+        return out
+
+    def memory_stats(self) -> dict[str, Any]:
+        """Bytes held per component, including the compressed tier.
+
+        ``vector_bytes`` is what candidate scoring gathers from each
+        round: the quantized codes (+ parameters) when a store is
+        attached, the float32 matrix otherwise.  ``reduction`` compares
+        the two - the memory gate BENCH_T8 publishes.
+        """
+        full = int(self.points.nbytes)
+        assert self.graph is not None
+        out: dict[str, Any] = {
+            "quantization": self.config.quantization,
+            "float32_bytes": full,
+            "graph_bytes": int(self.graph.ids.nbytes + self.graph.dists.nbytes),
+            "vector_bytes": full,
+            "reduction": 1.0,
+        }
+        if self.store is not None:
+            quant = self.store.memory_stats()
+            out["vector_bytes"] = quant["quantized_bytes"]
+            out["code_bytes"] = quant["code_bytes"]
+            out["param_bytes"] = quant["param_bytes"]
+            out["reduction"] = quant["reduction"]
+        return out
+
+    # -- the lock-step engine ----------------------------------------------------
 
     def _seed_matrix(self, q: np.ndarray, config: SearchConfig) -> np.ndarray:
         """Per-query entry points: ``(m, n_trees * seeds_per_tree)`` ids.
@@ -230,10 +575,9 @@ class BatchedGraphSearch:
         slots (short leaves, intra-row duplicates) carry ``-1``.
         """
         m = q.shape[0]
-        n = self._x.shape[0]
         spt = config.seeds_per_tree
         if not self.forest.trees:
-            fallback = np.arange(min(config.ef, n), dtype=np.int64)
+            fallback = np.arange(min(config.ef, self._x.shape[0]), dtype=np.int64)
             return np.broadcast_to(fallback, (m, fallback.size)).copy()
         columns: list[np.ndarray] = []
         for tree in self.forest.trees:
@@ -244,32 +588,24 @@ class BatchedGraphSearch:
                 members = tree.leaves[int(leaf)][:spt]
                 padded[j, : members.size] = members
             columns.append(padded[inverse])
-        return _dedupe_rows(np.concatenate(columns, axis=1))
-
-    # -- the lock-step engine ----------------------------------------------------
+        return dedupe_per_row(np.concatenate(columns, axis=1))
 
     def _search_block(
-        self, q: np.ndarray, k: int, config: SearchConfig
+        self, q: np.ndarray, start: int, end: int, k: int, config: SearchConfig
     ) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
-        """Run the lock-step rounds for one query block (no obs side effects)."""
-        out_ids = np.full((q.shape[0], k), -1, dtype=np.int32)
-        out_dists = np.full((q.shape[0], k), np.inf, dtype=np.float32)
-        stats: dict[str, Any] = {
-            "queries": 0, "rounds": 0, "expansions": 0,
-            "distance_evals": 0, "rerank_evals": 0, "round_expansions": [],
-        }
+        """Run the lock-step rounds for query rows ``[start, end)`` - one
+        fork shard - in chunks (no obs side effects)."""
+        q = q[start:end]
         block = _QUERY_BLOCK
         if self.store is not None and self.store.kind != "sq8":
             # keep the chunk's per-query (M, ksub) ADC tables within budget
             # (sq8 scores by decode-gather and builds no tables)
             lut_bytes = 4 * self.store.subspaces * self.store.ksub
             block = max(64, min(block, _LUT_BYTE_BUDGET // max(1, lut_bytes)))
-        for s, e in blockwise_ranges(q.shape[0], block):
-            ids, dists, chunk = self._search_chunk(q[s:e], k, config)
-            out_ids[s:e] = ids
-            out_dists[s:e] = dists
-            _merge_stats(stats, chunk)
-        return out_ids, out_dists, stats
+        return _concat_parts([
+            self._search_chunk(q[s:e], k, config)
+            for s, e in blockwise_ranges(q.shape[0], block)
+        ])
 
     def _search_chunk(
         self, q: np.ndarray, k: int, config: SearchConfig
@@ -287,25 +623,18 @@ class BatchedGraphSearch:
                 f"batched search supports at most {_ID_CAPACITY - 1} points, got {n}"
             )
 
-        # Beam entries are packed into single int64 sort keys:
-        #
-        #     key = float32_bits(dist) << 32 | expanded_flag << 31 | id
-        #
-        # Squared distances are non-negative, and the IEEE-754 bit pattern
-        # of a non-negative float is monotone in its value - so comparing
-        # keys compares (dist, id) lexicographically, exactly the legacy
-        # heap's ordering.  One np.partition on the key matrix is then a
-        # full select-k merge (no index gathers), and np.sort at the end
-        # is the legacy result order.  Empty slots hold _EMPTY_KEY (NaN
-        # dist bits), which sorts after every real entry, even +inf.
+        # Beam entries are packed keys (pack_keys) with bit 31 flagging an
+        # expanded entry, so comparing keys compares (dist, id) - exactly
+        # the legacy heap's ordering.  One np.partition on the key matrix
+        # is then a full select-k merge (no index gathers), and np.sort at
+        # the end is the legacy result order.
         orig = np.arange(m)  # live row -> original query row
         qv = q
         beam = np.full((m, ef), _EMPTY_KEY, dtype=np.int64)
         expansions = np.zeros(m, dtype=np.int64)
         out_ids = np.full((m, k), -1, dtype=np.int32)
         out_dists = np.full((m, k), np.inf, dtype=np.float32)
-        stats = {"queries": m, "rounds": 0, "expansions": 0,
-                 "distance_evals": 0, "rerank_evals": 0, "round_expansions": []}
+        stats = _empty_stats(m)
 
         # quantized scoring: sq8 stores decode-and-score straight from the
         # code matrix; pq stores go through per-query ADC tables, built
@@ -360,17 +689,6 @@ class BatchedGraphSearch:
                 bits = np.left_shift(np.uint64(1), (ids & 63).astype(np.uint64))
                 return (visited[rows, ids >> 6] & bits) != 0
 
-        def pack(ids: np.ndarray, dists: np.ndarray) -> np.ndarray:
-            """Pack (id, dist) matrices into sort keys.
-
-            Invalid slots carry ``+inf`` distance by construction, so
-            their keys sort after every finite entry and are never
-            selected, never block termination, and never decode into the
-            final output (same role as ``_EMPTY_KEY``).
-            """
-            key = dists.view(np.uint32).astype(np.int64) << 32
-            return key | (ids.astype(np.int64) & _ID_MASK)
-
         def merge(cand_keys: np.ndarray) -> None:
             """Select-k merge of candidates into every live beam (the same
             schedule as ``KnnState.merge_rows``, on packed keys).
@@ -405,14 +723,11 @@ class BatchedGraphSearch:
                     q[dest], x, ids_w, valid_pairs=(rr, cc)
                 )
                 stats["rerank_evals"] += int(rr.size)
-                keys = np.sort(pack(ids_w, exact), axis=1)
-            keys = keys[:, : min(k, ef)]
-            top_d = (keys >> 32).astype(np.uint32).view(np.float32)
-            top_i = (keys & _ID_MASK).astype(np.int32)
-            found = np.isfinite(top_d)  # empty slots decode to NaN
-            cols = np.arange(keys.shape[1])
-            out_ids[dest[:, None], cols] = np.where(found, top_i, -1)
-            out_dists[dest[:, None], cols] = np.where(found, top_d, np.float32(np.inf))
+                keys = np.sort(pack_keys(ids_w, exact), axis=1)
+            top_i, top_d = unpack_keys(keys[:, : min(k, ef)])
+            cols = np.arange(top_i.shape[1])
+            out_ids[dest[:, None], cols] = top_i
+            out_dists[dest[:, None], cols] = top_d
 
         # --- seed the beams ---
         seeds = self._seed_matrix(q, config)
@@ -420,7 +735,7 @@ class BatchedGraphSearch:
         mark_visited(s_rows, seeds[s_rows, s_cols])
         seed_dists = score(q, lut_rows, seeds, (s_rows, s_cols))
         stats["distance_evals"] += int(s_rows.size)
-        merge(pack(seeds, seed_dists))
+        merge(pack_keys(seeds, seed_dists))
 
         # --- lock-step rounds ---
         while orig.size:
@@ -461,7 +776,7 @@ class BatchedGraphSearch:
             neigh = np.where((nodes >= 0)[:, :, None], neigh, -1)
             cand = neigh.reshape(a, frontier * kg)
             if frontier > 1:
-                cand = _dedupe_rows(cand)
+                cand = dedupe_per_row(cand)
             fresh = cand >= 0
             safe = np.where(fresh, cand, 0)
             row_grid = np.broadcast_to(np.arange(a)[:, None], safe.shape)
@@ -471,380 +786,8 @@ class BatchedGraphSearch:
                 mark_visited(rr, cand[rr, cc])
             cand_dists = score(qv, lut_rows, cand, (rr, cc))
             stats["distance_evals"] += int(rr.size)
-            merge(pack(cand, cand_dists))
+            merge(pack_keys(cand, cand_dists))
 
         if orig.size:
             finalize(np.arange(orig.size))
         return out_ids, out_dists, stats
-
-    # -- public API --------------------------------------------------------------
-
-    def search(
-        self, queries: np.ndarray, k: int, config: SearchConfig | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Approximate k-NN for each (already metric-prepared) query row.
-
-        Returns ``(ids, dists)`` of shape ``(m, k)``, ascending by
-        distance; unfilled slots carry ``-1`` / ``+inf``.  With
-        ``config.n_jobs > 1`` the query matrix is sharded across forked
-        workers; results (and stats) are identical to the serial run.
-        """
-        cfg = config or self.config
-        q = check_query_matrix(queries, self._x.shape[1], "queries")
-        k = check_positive_int(k, "k")
-        obs = self.obs
-        m = q.shape[0]
-        t0 = time.perf_counter()
-        if obs is not None:
-            obs.hooks.emit(Events.QUERY_BATCH_BEFORE,
-                           queries=m, k=k, ef=cfg.ef, n_jobs=cfg.n_jobs)
-            span = obs.trace.span("query", queries=m, k=k, ef=cfg.ef)
-        else:
-            span = None
-
-        def run() -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
-            shards = shard_ranges(m, cfg.n_jobs) if cfg.n_jobs > 1 else []
-            if len(shards) <= 1:
-                return self._search_block(q, k, cfg)
-            parts = map_forked(
-                _forked_search_block, (self, q),
-                [(s, e, k, cfg) for s, e in shards], cfg.n_jobs,
-            )
-            ids = np.concatenate([p[0] for p in parts], axis=0)
-            dists = np.concatenate([p[1] for p in parts], axis=0)
-            stats: dict[str, Any] = {"queries": 0, "rounds": 0, "expansions": 0,
-                                     "distance_evals": 0, "rerank_evals": 0,
-                                     "round_expansions": []}
-            for _, _, part_stats in parts:
-                _merge_stats(stats, part_stats)
-            return ids, dists, stats
-
-        if span is not None:
-            with span as sp:
-                ids, dists, stats = run()
-                sp.set(rounds=stats["rounds"], expansions=stats["expansions"],
-                       round_expansions=list(stats["round_expansions"]))
-        else:
-            ids, dists, stats = run()
-        stats["seconds"] = time.perf_counter() - t0
-        self.last_query_stats = stats
-        if obs is not None:
-            qm = obs.metrics.scoped(QUERY_METRICS_PREFIX)
-            qm.counter("batches").inc()
-            qm.counter("queries").inc(stats["queries"])
-            qm.counter("rounds").inc(stats["rounds"])
-            qm.counter("expansions").inc(stats["expansions"])
-            qm.counter("distance_evals").inc(stats["distance_evals"])
-            qm.counter("rerank_evals").inc(stats["rerank_evals"])
-            qm.histogram("batch_seconds").observe(stats["seconds"])
-            obs.hooks.emit(Events.QUERY_BATCH_AFTER,
-                           queries=m, k=k, ef=cfg.ef, seconds=stats["seconds"],
-                           rounds=stats["rounds"], expansions=stats["expansions"],
-                           distance_evals=stats["distance_evals"])
-        return ids, dists
-
-
-def _merge_stats(into: dict[str, Any], part: dict[str, Any]) -> None:
-    """Aggregate per-block/per-shard work counters (rounds overlap, so the
-    per-round expansion lists add elementwise and ``rounds`` is their max)."""
-    into["queries"] += part["queries"]
-    into["expansions"] += part["expansions"]
-    into["distance_evals"] += part["distance_evals"]
-    into["rerank_evals"] += part.get("rerank_evals", 0)
-    a, b = into["round_expansions"], part["round_expansions"]
-    if len(b) > len(a):
-        a.extend([0] * (len(b) - len(a)))
-    for i, v in enumerate(b):
-        a[i] += v
-    into["rounds"] = len(a)
-
-
-class GraphSearchIndex:
-    """Graph-guided approximate nearest-neighbour search index.
-
-    Usage::
-
-        index = GraphSearchIndex.build(points, k=16, seed=0)
-        ids, dists = index.search(queries, k=10)
-
-    or through the :class:`~repro.baselines.KNNIndex` engine protocol::
-
-        index = GraphSearchIndex().fit(points)
-        ids, dists = index.query(queries, k=10)
-        index.stats()
-
-    The index stores its points in the *prepared* space of the graph's
-    build metric (``graph.meta["metric"]``; see :mod:`repro.core.metric`)
-    and transforms incoming queries the same way, so tree routing and
-    beam scoring happen in the space the graph was built in.  Queries are
-    answered by the batched :class:`BatchedGraphSearch` engine.
-    """
-
-    def __init__(self, points: np.ndarray | None = None,
-                 graph: KNNGraph | None = None, forest: RPForest | None = None,
-                 config: SearchConfig | None = None, *,
-                 build_config: BuildConfig | None = None,
-                 obs: Observability | None = None) -> None:
-        self.config = config or SearchConfig()
-        self.obs = obs
-        self._build_config = build_config
-        self.graph: KNNGraph | None = None
-        self.forest: RPForest | None = None
-        self._x: np.ndarray | None = None
-        self._engine: BatchedGraphSearch | None = None
-        self._metric_info: dict = {}
-        self.metric = "sqeuclidean"
-        if points is not None:
-            if graph is None or forest is None:
-                raise ConfigurationError(
-                    "constructing from points requires graph and forest "
-                    "(use GraphSearchIndex.build or fit to create them)"
-                )
-            self._attach(points, graph, forest)
-
-    def _attach(self, points: np.ndarray, graph: KNNGraph, forest: RPForest,
-                *, prepared: bool = False,
-                store: QuantizedStore | None = None) -> None:
-        x = check_points_matrix(points, "points")
-        metric = check_metric(str(graph.meta.get("metric", "sqeuclidean")))
-        if metric == "inner_product":
-            raise ConfigurationError(
-                "inner_product graphs are not supported by graph-guided "
-                "search (the build pipeline rejects the metric)"
-            )
-        self.metric = metric
-        if prepared:
-            # points are already in prepared space (the persisted form);
-            # re-preparing would renormalise cosine data by a norm of
-            # 1.0±ulp and break byte-identical load round-trips
-            self._x = x
-            self._metric_info = {"normalized": True} if metric == "cosine" else {}
-        else:
-            self._x, self._metric_info = prepare_points(x, metric)
-        if graph.n != self._x.shape[0]:
-            raise ConfigurationError(
-                f"graph has {graph.n} nodes but points has {self._x.shape[0]} rows"
-            )
-        if store is None and self.config.quantization != "none":
-            # codes live in the prepared (kernel) space, same as the graph's
-            # edges - fit here so routing, ADC scoring and rerank agree
-            store = QuantizedStore.fit(self._x, self.config.quantization, seed=0)
-        self.graph = graph
-        self.forest = forest
-        self._engine = BatchedGraphSearch(
-            self._x, graph, forest, self.config, store=store, obs=self.obs
-        )
-
-    def _require_fitted(self) -> BatchedGraphSearch:
-        if self._engine is None:
-            raise ConfigurationError("search() before fit()/build(): no index data")
-        return self._engine
-
-    # -- construction ----------------------------------------------------------
-
-    @classmethod
-    def build(
-        cls,
-        points: np.ndarray,
-        k: int = 16,
-        build_config: BuildConfig | None = None,
-        search_config: SearchConfig | None = None,
-        seed=None,
-        *,
-        obs: Observability | None = None,
-    ) -> "GraphSearchIndex":
-        """Build the K-NN graph (keeping the forest) and wrap it for search."""
-        cfg = build_config or BuildConfig(k=k, strategy="tiled", seed=seed)
-        builder = WKNNGBuilder(cfg)
-        graph = builder.build(points)
-        assert builder.last_forest is not None
-        return cls(points, graph, builder.last_forest, search_config, obs=obs)
-
-    @classmethod
-    def from_parts(
-        cls,
-        points: np.ndarray,
-        graph: KNNGraph,
-        forest: RPForest,
-        config: SearchConfig | None = None,
-        *,
-        prepared: bool = False,
-        store: QuantizedStore | None = None,
-        obs: Observability | None = None,
-    ) -> "GraphSearchIndex":
-        """Wrap an existing ``(points, graph, forest)`` triple for search.
-
-        With ``prepared=True`` the points are taken as already transformed
-        into the graph metric's kernel space and are *not* re-prepared -
-        the constructor the mutable index uses to publish a new snapshot
-        without renormalising (and therefore without perturbing) the
-        stored vectors.  An explicit ``store`` attaches an existing
-        quantized tier instead of fitting a fresh one - how the mutable
-        index keeps codebooks frozen across insert flips.
-        """
-        index = cls(config=config, obs=obs)
-        index._attach(points, graph, forest, prepared=prepared, store=store)
-        return index
-
-    def fit(self, points: np.ndarray) -> "GraphSearchIndex":
-        """Engine-protocol ingest: build graph + forest over ``points``."""
-        cfg = self._build_config or BuildConfig(k=16, strategy="tiled", seed=0)
-        builder = WKNNGBuilder(cfg)
-        graph = builder.build(points)
-        assert builder.last_forest is not None
-        self._attach(points, graph, builder.last_forest)
-        return self
-
-    # -- persistence -----------------------------------------------------------
-
-    def save(self, directory) -> None:
-        """Persist points, graph (with its metric metadata) and forest.
-
-        The stored points are in prepared space; since metric preparation
-        is idempotent for the graph-supported metrics, :meth:`load`
-        re-applies it safely.  The search configuration (``ef`` and
-        friends) is persisted alongside in ``search_config.json`` so a
-        loaded index serves with the same defaults - ``repro serve
-        --load-index`` depends on this for byte-identical results.
-        """
-        import dataclasses
-        import json
-        from pathlib import Path
-
-        engine = self._require_fitted()
-        d = Path(directory)
-        d.mkdir(parents=True, exist_ok=True)
-        np.save(d / "points.npy", engine._x)
-        assert self.graph is not None and self.forest is not None
-        self.graph.save(d / "graph.npz")
-        self.forest.save(d / "forest.npz")
-        if engine.store is not None:
-            engine.store.save(d / "quant.npz")
-        (d / "search_config.json").write_text(
-            json.dumps(dataclasses.asdict(self.config), indent=2)
-        )
-
-    @classmethod
-    def load(cls, directory, config: SearchConfig | None = None,
-             *, obs: Observability | None = None) -> "GraphSearchIndex":
-        """Inverse of :meth:`save`.
-
-        The graph's persisted ``meta`` carries the build metric, so the
-        restored index scores queries in the same prepared space as the
-        original (the cosine-correctness fix depends on this).  An
-        explicit ``config`` overrides the persisted search defaults;
-        indexes saved before ``search_config.json`` existed load with
-        stock defaults.
-        """
-        import json
-        from pathlib import Path
-
-        d = Path(directory)
-        if config is None and (d / "search_config.json").exists():
-            config = SearchConfig(
-                **json.loads((d / "search_config.json").read_text())
-            )
-        index = cls(config=config, obs=obs)
-        store = None
-        if index.config.quantization != "none" and (d / "quant.npz").exists():
-            store = QuantizedStore.load(d / "quant.npz")
-            if store.spec != index.config.quantization:
-                store = None  # spec changed since save: refit in _attach
-        index._attach(
-            np.load(d / "points.npy"),
-            KNNGraph.load(d / "graph.npz"),
-            RPForest.load(d / "forest.npz"),
-            prepared=True,
-            store=store,
-        )
-        return index
-
-    # -- queries -----------------------------------------------------------------
-
-    def _prepare_queries(self, queries: np.ndarray) -> np.ndarray:
-        engine = self._require_fitted()
-        q = check_query_matrix(queries, engine._x.shape[1], "queries")
-        prepared, _ = prepare_points(
-            q, self.metric, is_query=True,
-            max_norm=self._metric_info.get("max_norm"),
-        )
-        return prepared
-
-    @property
-    def dim(self) -> int:
-        """Dimensionality of the indexed points (prepared space)."""
-        return self._require_fitted()._x.shape[1]
-
-    @property
-    def n(self) -> int:
-        """Number of indexed points."""
-        return self._require_fitted()._x.shape[0]
-
-    @property
-    def store(self) -> QuantizedStore | None:
-        """The attached compressed tier (``None`` when serving float32)."""
-        return self._engine.store if self._engine is not None else None
-
-    def search(self, queries: np.ndarray, k: int, *,
-               ef: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Approximate k-NN for each query row (batched engine).
-
-        Returns ``(ids, dists)`` of shape ``(m, k)``, ascending by
-        distance; ``dists`` are squared L2 in the index's prepared metric
-        space, like everywhere in the library.  ``ef`` overrides the
-        configured beam width for this call only - the dial the serving
-        layer's degradation policy turns under load.
-        """
-        engine = self._require_fitted()
-        q = self._prepare_queries(queries)
-        k = check_positive_int(k, "k")
-        cfg = self.config
-        if ef is not None and ef != cfg.ef:
-            from dataclasses import replace
-
-            cfg = replace(cfg, ef=check_positive_int(ef, "ef"))
-        return engine.search(q, k, config=cfg)
-
-    def query(self, queries: np.ndarray, k: int, *,
-              ef: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """:class:`~repro.baselines.KNNIndex` protocol alias of :meth:`search`.
-
-        ``ef`` is the protocol-wide per-call quality dial; here it is the
-        beam width, exactly as in :meth:`search`.
-        """
-        return self.search(queries, k, ef=ef)
-
-    def stats(self) -> dict[str, Any]:
-        """Work counters of the most recent search (engine protocol)."""
-        engine = self._require_fitted()
-        out: dict[str, Any] = {"engine": "wknng-graph", "metric": self.metric}
-        for key, value in engine.last_query_stats.items():
-            if key != "round_expansions":
-                out[key] = value
-        return out
-
-    def memory_stats(self) -> dict[str, Any]:
-        """Bytes held per component, including the compressed tier.
-
-        ``vector_bytes`` is what candidate scoring gathers from each
-        round: the quantized codes (+ parameters) when a store is
-        attached, the float32 matrix otherwise.  ``reduction`` compares
-        the two - the memory gate BENCH_T8 publishes.
-        """
-        engine = self._require_fitted()
-        assert self.graph is not None
-        full = int(engine._x.nbytes)
-        out: dict[str, Any] = {
-            "quantization": self.config.quantization,
-            "float32_bytes": full,
-            "graph_bytes": int(self.graph.ids.nbytes + self.graph.dists.nbytes),
-            "vector_bytes": full,
-            "reduction": 1.0,
-        }
-        if engine.store is not None:
-            quant = engine.store.memory_stats()
-            out["vector_bytes"] = quant["quantized_bytes"]
-            out["code_bytes"] = quant["code_bytes"]
-            out["param_bytes"] = quant["param_bytes"]
-            out["reduction"] = quant["reduction"]
-        return out

@@ -199,7 +199,7 @@ def cmd_search(args) -> int:
     )
     if args.load_index:
         index = GraphSearchIndex.load(args.load_index, search_cfg)
-        x = index._engine._x  # prepared space; fine for self-queries below
+        x = index.points  # prepared space; fine for self-queries below
         print(f"loaded index from {args.load_index}: "
               f"n={index.graph.n}, k={index.graph.k}, metric={index.metric}")
     else:
@@ -266,7 +266,6 @@ def _serve_config(args):
         AdmissionPolicy,
         CachePolicy,
         DeadlinePolicy,
-        QuantizationPolicy,
         ServeConfig,
         ShedPolicy,
     )
@@ -280,7 +279,6 @@ def _serve_config(args):
         ),
         deadline=DeadlinePolicy(default_ms=args.deadline_ms),
         cache=CachePolicy(size=args.cache_size),
-        quant=QuantizationPolicy(mode=args.quantization, rerank=args.rerank),
         shed=ShedPolicy(enabled=not args.no_shed),
         default_k=args.topk,
         ef=args.ef,
@@ -318,7 +316,8 @@ def _make_client(args, obs):
             x,
             build_config=BuildConfig(k=args.k, strategy="tiled",
                                      seed=args.seed, metric=args.metric),
-            search_config=SearchConfig(ef=args.ef, **cfg.quant.to_search_fields()),
+            search_config=SearchConfig(ef=args.ef, quantization=args.quantization,
+                                       rerank=args.rerank),
             seed=args.seed,
             config=ccfg,
             obs=obs,
@@ -330,7 +329,7 @@ def _make_client(args, obs):
     from repro.serve import KNNServer
 
     index = _serving_index(args)
-    return KNNServer(index, cfg, obs=obs), index._engine._x
+    return KNNServer(index, cfg, obs=obs), index.points
 
 
 def _print_serve_report(client, report) -> None:
@@ -491,7 +490,8 @@ def _cmd_serve_churn(args) -> int:
         base,
         BuildConfig(k=args.k, strategy="tiled", seed=args.seed,
                     metric=args.metric),
-        SearchConfig(ef=args.ef, **cfg.quant.to_search_fields()),
+        SearchConfig(ef=args.ef, quantization=args.quantization,
+                     rerank=args.rerank),
         obs=obs,
     )
     print(f"built mutable index over {base.shape} ({args.metric}) "

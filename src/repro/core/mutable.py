@@ -20,7 +20,7 @@ graph, by separating two roles:
 
 **Inserts** attach new points through graph-guided search, not through
 RP-tree leaf mutation: each new point's neighbour candidates are the
-result of a :class:`~repro.apps.search.BatchedGraphSearch` beam search
+result of a :class:`~repro.apps.search.GraphSearchIndex` beam search
 over the current snapshot (beam width :attr:`MutableConfig.attach_ef`),
 the candidates adopt the new point back through the configured
 maintenance strategy, and one NN-descent local-join round repairs the
@@ -37,6 +37,13 @@ shrink result sets.  When the tombstone fraction passes
 forest over the survivors and re-bases the internal ids - external ids
 (the ids callers see and delete by) are stable across compactions.
 
+**Builds**: :meth:`MutableIndex.build` wraps epoch 0 around
+:meth:`GraphSearchIndex.build <repro.apps.search.GraphSearchIndex.build>`,
+and inserts maintain the graph with the strategy that build resolved
+(``graph.meta["strategy"]``).  Compaction runs the builder itself and
+publishes the survivors' already-prepared rows unchanged
+(``from_parts(prepared=True)``), so kept points keep their bytes.
+
 Usage::
 
     mut = MutableIndex.build(points, BuildConfig(k=16), SearchConfig(ef=64))
@@ -50,7 +57,7 @@ Architecture notes and serving integration: ``docs/mutable.md``.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -219,7 +226,7 @@ class IndexSnapshot:
         """The live points in prepared (kernel) space, aligned with
         :meth:`live_ids` - what an exact ground-truth computation or an
         external rebuild needs."""
-        return self.index._engine._x[~self.deleted]
+        return self.index.points[~self.deleted]
 
     def search(
         self, queries: np.ndarray, k: int, *, ef: int | None = None
@@ -277,22 +284,15 @@ class MutableIndex:
         obs: Observability | None = None,
     ) -> None:
         self._snapshot = snapshot
+        # maintain the graph with the strategy its build resolved (the
+        # builder owns ``strategy="auto"`` resolution)
+        build_config = replace(
+            build_config, strategy=snapshot.index.graph.meta["strategy"]
+        )
         self._build_config = build_config
         self.mutable_config = config or MutableConfig()
         self.obs = obs
         self._write_lock = threading.Lock()
-        if build_config.strategy == "auto":
-            from dataclasses import replace
-
-            from repro.bench.costmodel import preferred_strategy
-
-            build_config = replace(
-                build_config,
-                strategy=preferred_strategy(
-                    snapshot.dim, build_config.k, build_config.leaf_size
-                ),
-            )
-            self._build_config = build_config
         self._strategy: Strategy = get_strategy(
             build_config.strategy, **build_config.strategy_kwargs
         )
@@ -327,21 +327,16 @@ class MutableIndex:
     ) -> "MutableIndex":
         """Build the initial graph and wrap it as epoch 0."""
         build_config = build_config or BuildConfig()
-        builder = WKNNGBuilder(build_config, obs=obs)
-        graph = builder.build(points)
-        assert builder.last_forest is not None
-        x, _ = prepare_points(
-            np.asarray(points, dtype=np.float32), build_config.metric
+        index = GraphSearchIndex.build(
+            points, build_config=build_config, search_config=search_config,
+            obs=obs,
         )
-        index = GraphSearchIndex.from_parts(
-            x, graph, builder.last_forest, search_config,
-            prepared=True, obs=obs,
-        )
+        n = index.n
         snapshot = IndexSnapshot(
             epoch=0,
             index=index,
-            ext_ids=np.arange(graph.n, dtype=np.int64),
-            deleted=np.zeros(graph.n, dtype=bool),
+            ext_ids=np.arange(n, dtype=np.int64),
+            deleted=np.zeros(n, dtype=bool),
         )
         return cls(snapshot, build_config, config, obs=obs)
 
@@ -474,7 +469,7 @@ class MutableIndex:
                     live = ~snap.deleted
                     self._rebuild_locked(
                         snap,
-                        np.concatenate([engine._engine._x[live], q], axis=0),
+                        np.concatenate([engine.points[live], q], axis=0),
                         np.concatenate([snap.ext_ids[live], new_ext]),
                         n_dead=snap.n_dead,
                     )
@@ -487,7 +482,7 @@ class MutableIndex:
 
             # 2. grow: copy-on-write state over old + new rows
             n_old = graph.n
-            x = np.concatenate([engine._engine._x, q], axis=0)
+            x = np.concatenate([engine.points, q], axis=0)
             state = KnnState(n_old + m, kg)
             state.ids[:n_old] = graph.ids
             state.dists[:n_old] = graph.dists
@@ -600,7 +595,7 @@ class MutableIndex:
         """Rebuild graph + forest over the survivors (write lock held)."""
         live = ~deleted
         self._rebuild_locked(
-            snap, snap.index._engine._x[live], snap.ext_ids[live],
+            snap, snap.index.points[live], snap.ext_ids[live],
             n_dead=int(deleted.sum()),
         )
 

@@ -77,8 +77,7 @@ def parse_quantization(spec: str) -> QuantSpec:
     ``"pq8"``) -> ``("pq", M, "pq{M}")``.  Parsing is case-insensitive
     and strips surrounding whitespace; the returned ``spec`` is the
     canonical lowercase form, which callers must store instead of the
-    raw input (``SearchConfig`` / ``QuantizationPolicy`` /
-    ``QuantizedStore.spec`` all do).
+    raw input (``SearchConfig`` and ``QuantizedStore.spec`` both do).
     """
     s = str(spec).strip().lower()
     if s in ("none", ""):

@@ -3,8 +3,9 @@
 A K-NN graph that is accurate per-point can still be *globally* broken for
 downstream consumers: t-SNE and label propagation need the (undirected)
 graph to be connected, and graph-guided search needs every point reachable
-from the entry region.  These diagnostics measure that, using a union-find
-over the undirected closure (no NetworkX dependency in the hot path).
+from the entry region.  These diagnostics measure that, using the
+vectorized union-find of :mod:`repro.neighbors.unionfind` over the
+undirected closure (no NetworkX dependency in the hot path).
 """
 
 from __future__ import annotations
@@ -12,41 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.graph import KNNGraph
-
-
-class UnionFind:
-    """Array-based union-find with path halving and union by size."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]  # path halving
-            i = parent[i]
-        return int(i)
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets of ``a`` and ``b``; True if they were distinct."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-    def n_components(self) -> int:
-        roots = {self.find(i) for i in range(self.parent.shape[0])}
-        return len(roots)
-
-    def component_sizes(self) -> np.ndarray:
-        roots = np.array([self.find(i) for i in range(self.parent.shape[0])])
-        _, counts = np.unique(roots, return_counts=True)
-        return np.sort(counts)[::-1]
 
 
 def connected_components(graph: KNNGraph) -> np.ndarray:

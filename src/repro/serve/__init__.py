@@ -83,7 +83,6 @@ from repro.serve.server import (
     CachePolicy,
     DeadlinePolicy,
     KNNServer,
-    QuantizationPolicy,
     ServeConfig,
 )
 
@@ -96,7 +95,6 @@ __all__ = [
     "AdmissionPolicy",
     "DeadlinePolicy",
     "CachePolicy",
-    "QuantizationPolicy",
     "SERVE_METRICS_PREFIX",
     "ClusterClient",
     "ClusterConfig",

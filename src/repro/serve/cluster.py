@@ -58,7 +58,13 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.apps.search import GraphSearchIndex, SearchConfig
+from repro.apps.search import (
+    _ID_CAPACITY,
+    GraphSearchIndex,
+    SearchConfig,
+    pack_keys,
+    unpack_keys,
+)
 from repro.core.sharding import shard_partition
 from repro.errors import (
     ClusterError,
@@ -76,30 +82,11 @@ from repro.utils.validation import check_positive_int
 #: registry namespace the cluster metrics emit under
 CLUSTER_METRICS_PREFIX = "cluster/"
 
-# Packed merge-key layout (the engine beams' discipline, minus the
-# expanded flag): high 32 bits are the float32 distance's bit pattern
-# (order-preserving for non-negative distances), low 31 bits the global
-# id.  Comparing keys compares (dist, global_id) lexicographically.
-_ID_MASK = np.int64((1 << 31) - 1)
-_ID_CAPACITY = 1 << 31
-#: empty result slot: quiet-NaN distance bits, sorts after every real entry
-_EMPTY_KEY = np.int64(0x7FC00000) << 32
 #: the tracer of a cluster without an Observability: every span is a no-op
 _NO_TRACE = Tracer(enabled=False)
 
 
 # -- the cross-shard reduction --------------------------------------------------
-
-
-def _pack(ids: np.ndarray, dists: np.ndarray) -> np.ndarray:
-    """Pack (global id, dist) matrices into int64 sort keys; invalid rows
-    (``id < 0``) become :data:`_EMPTY_KEY` so they sort last."""
-    ids64 = np.asarray(ids, dtype=np.int64)
-    bits = np.ascontiguousarray(
-        np.asarray(dists, dtype=np.float32)
-    ).view(np.uint32).astype(np.int64)
-    keys = (bits << np.int64(32)) | (ids64 & _ID_MASK)
-    return np.where(ids64 >= 0, keys, _EMPTY_KEY)
 
 
 def merge_topk(
@@ -109,24 +96,20 @@ def merge_topk(
 
     ``parts`` is a sequence of ``(ids, dists)`` pairs, one per shard, each
     ``(m, k_s)`` with *global* ids, ascending distance, ``-1``/``+inf``
-    in unfilled slots.  Every pair is packed into ``(dist, id)`` keys and
-    one row-wise sort selects the merged top-``k`` - the same
+    in unfilled slots.  Every pair is packed into ``(dist, id)`` keys
+    (:func:`~repro.apps.search.pack_keys`) and one row-wise sort selects the merged top-``k`` - the same
     lexicographic order a flat index's engine emits, so given exhaustive
     per-shard inputs the merge reproduces the flat result bitwise.
     """
     if not parts:
         raise ConfigurationError("merge_topk() needs at least one shard part")
-    keys = np.concatenate([_pack(i, d) for i, d in parts], axis=1)
+    keys = np.concatenate([pack_keys(i, d) for i, d in parts], axis=1)
     m = keys.shape[0]
     width = min(k, keys.shape[1])
-    top = np.sort(keys, axis=1)[:, :width]
-    dists = (top >> np.int64(32)).astype(np.uint32).view(np.float32)
-    ids = (top & _ID_MASK).astype(np.int32)
-    found = np.isfinite(dists)  # empty slots decode to NaN
     out_ids = np.full((m, k), -1, dtype=np.int32)
     out_dists = np.full((m, k), np.inf, dtype=np.float32)
-    out_ids[:, :width] = np.where(found, ids, -1)
-    out_dists[:, :width] = np.where(found, dists, np.float32(np.inf))
+    out_ids[:, :width], out_dists[:, :width] = unpack_keys(
+        np.sort(keys, axis=1)[:, :width])
     return out_ids, out_dists
 
 

@@ -10,8 +10,10 @@ deadlines, shedding, the epoch-keyed cache, ``serve/*`` metrics and
 
 Configuration is the frozen, sectioned :class:`ServeConfig`
 (:class:`AdmissionPolicy` / :class:`DeadlinePolicy` / :class:`CachePolicy`
-/ :class:`QuantizationPolicy` / :class:`~repro.serve.degrade.ShedPolicy`),
-shared with :class:`~repro.serve.cluster.ClusterConfig`.
+/ :class:`~repro.serve.degrade.ShedPolicy`), shared with
+:class:`~repro.serve.cluster.ClusterConfig`.  Quantization is a property
+of the index (:class:`~repro.apps.search.SearchConfig`), not of the
+server.
 """
 
 from __future__ import annotations
@@ -108,43 +110,10 @@ class CachePolicy:
             self, "decimals", check_positive_int(self.decimals, "decimals"))
 
 
-@dataclass(frozen=True)
-class QuantizationPolicy:
-    """Compressed-tier knobs the serving stack forwards to its indexes.
-
-    ``mode`` is a :func:`repro.core.quant.parse_quantization` spec
-    (``"none"``, ``"sq8"``, ``"pq<M>"``); ``rerank`` is the
-    full-precision rerank width (``0`` = the whole beam).  The policy
-    maps 1:1 onto :class:`~repro.apps.search.SearchConfig` fields - see
-    :meth:`to_search_fields` - so servers, cluster shards and the CLI
-    all build quantized stores the same way.
-    """
-
-    mode: str = "none"
-    rerank: int = 0
-
-    def __post_init__(self) -> None:
-        from repro.core.quant import parse_quantization
-
-        # store the canonical spec, not the raw string: downstream spec
-        # comparisons (SearchConfig, persisted stores) are string equality
-        object.__setattr__(self, "mode", parse_quantization(self.mode).spec)
-        object.__setattr__(self, "rerank", int(self.rerank))
-        if self.rerank < 0:
-            raise ConfigurationError(
-                f"quant rerank must be >= 0, got {self.rerank}"
-            )
-
-    def to_search_fields(self) -> dict[str, Any]:
-        """The :class:`~repro.apps.search.SearchConfig` kwargs this maps to."""
-        return {"quantization": self.mode, "rerank": self.rerank}
-
-
 _SECTION_TYPES = {
     "admission": AdmissionPolicy,
     "deadline": DeadlinePolicy,
     "cache": CachePolicy,
-    "quant": QuantizationPolicy,
     "shed": ShedPolicy,
 }
 
@@ -161,9 +130,6 @@ class ServeConfig:
         Deadline defaults (:class:`DeadlinePolicy`).
     cache:
         Result caching (:class:`CachePolicy`).
-    quant:
-        Compressed vector tier (:class:`QuantizationPolicy`) forwarded
-        to the indexes the stack builds.
     shed:
         The degradation policy (:class:`~repro.serve.degrade.ShedPolicy`).
     default_k:
@@ -178,7 +144,6 @@ class ServeConfig:
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     deadline: DeadlinePolicy = field(default_factory=DeadlinePolicy)
     cache: CachePolicy = field(default_factory=CachePolicy)
-    quant: QuantizationPolicy = field(default_factory=QuantizationPolicy)
     shed: ShedPolicy = field(default_factory=ShedPolicy)
     default_k: int = 10
     ef: int | None = None

@@ -86,8 +86,8 @@ def map_forked(
     """Run ``fn(shared, *args_i)`` for every task, order-preserving.
 
     ``shared`` (typically a large read-only array) is passed to workers by
-    fork inheritance, not pickling.  ``fn`` must be a module-level
-    function (it is inherited the same way).  Falls back to a serial loop
+    fork inheritance, not pickling.  ``fn`` is inherited the same way, so
+    it may be a bound method.  Falls back to a serial loop
     when ``n_jobs <= 1``, there is only one task, or fork is unavailable.
     """
     tasks = list(enumerate(per_task_args))

@@ -101,7 +101,6 @@ class TestEngineParity:
             meta=dict(idx.graph.meta),
         )
         idx.graph = empty
-        idx._engine.graph = empty
         q = _queries(small_clustered, 12, seed=3)
         ids_b, d_b = idx.search(q, 5)
         ids_l, d_l = search_legacy(idx, q, 5)
@@ -188,6 +187,34 @@ class TestPersistence:
         after_ids, after_d = loaded.search(q, 5)
         assert np.array_equal(before_ids, after_ids)
         assert np.allclose(before_d, after_d, equal_nan=True)
+
+    def test_points_are_the_prepared_matrix(self, small_clustered, tmp_path):
+        """``index.points`` is what the engine scores and ``save`` writes:
+        unit-norm rows under cosine, read-only, and the live rows of a
+        mutable snapshot."""
+        from repro.core.mutable import MutableIndex
+
+        cfg = BuildConfig(k=10, strategy="tiled", seed=0, metric="cosine")
+        idx = GraphSearchIndex.build(small_clustered, build_config=cfg)
+        pts = idx.points
+        assert pts.shape == small_clustered.shape
+        assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-5)
+        assert not pts.flags.writeable
+        idx.save(tmp_path / "idx")
+        assert np.load(tmp_path / "idx" / "points.npy").tobytes() == pts.tobytes()
+
+        mut = MutableIndex.build(small_clustered, cfg)
+        mut.delete(np.arange(0, 40, 3))
+        snap = mut.snapshot
+        assert np.array_equal(snap.live_points(), snap.index.points[~snap.deleted])
+
+    def test_build_records_build_spans_in_its_obs(self, small_clustered):
+        obs = Observability()
+        GraphSearchIndex.build(
+            small_clustered,
+            build_config=BuildConfig(k=10, strategy="tiled", seed=0), obs=obs)
+        names = {r.name for r in obs.trace.records}
+        assert {"build", "forest", "refine"} <= names
 
 
 class TestBuildReportDeltas:

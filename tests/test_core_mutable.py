@@ -99,6 +99,18 @@ class TestInsert:
         ids, _ = mut.search(more[:50], 3)
         assert (ids == new_ids[:, None]).any(axis=1).mean() > 0.9
 
+    def test_auto_strategy_follows_the_build(self):
+        """Inserts maintain the graph with the strategy the builder
+        resolved, including the ``tile_size`` it resolved with."""
+        x = np.random.default_rng(0).standard_normal((400, 2)).astype(np.float32)
+        mut = MutableIndex.build(
+            x, BuildConfig(k=16, leaf_size=32, strategy="auto",
+                           strategy_kwargs={"tile_size": 64}),
+        )
+        graph = mut.snapshot.index.graph
+        assert mut._strategy.name == graph.meta["strategy"]
+        assert mut.insert(x[:8] + 0.01).tolist() == list(range(400, 408))
+
 
 class TestDelete:
     def test_deleted_ids_never_served(self, base_and_more):

@@ -18,7 +18,6 @@ from repro.kernels.distance import (
     sq8_l2_query_gather,
     sq_l2_query_gather,
 )
-from repro.serve import QuantizationPolicy, ServeConfig
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +58,6 @@ class TestParseQuantization:
     def test_config_objects_store_canonical_spec(self):
         assert SearchConfig(quantization="NONE").quantization == "none"
         assert SearchConfig(quantization=" sq8 ").quantization == "sq8"
-        assert QuantizationPolicy(mode="SQ8").mode == "sq8"
-        assert QuantizationPolicy(mode="pq08").mode == "pq8"
 
 
 class TestScalarQuantizer:
@@ -228,7 +225,7 @@ class TestEngineIntegration:
         ids, dists = index.search(queries, 5)
         valid = ids >= 0
         exact = sq_l2_query_gather(
-            index._prepare_queries(queries), index._engine._x,
+            index._prepare_queries(queries), index.points,
             np.where(valid, ids, -1).astype(np.int64),
         )
         assert np.allclose(
@@ -260,7 +257,7 @@ class TestEngineIntegration:
         assert (tmp_path / "idx" / "quant.npz").exists()
         loaded = GraphSearchIndex.load(tmp_path / "idx")
         assert np.array_equal(
-            loaded._engine.store.codes, index._engine.store.codes
+            loaded.store.codes, index.store.codes
         )
         ids2, dists2 = loaded.search(queries, 5)
         assert np.array_equal(ids, ids2)
@@ -304,24 +301,3 @@ class TestEngineIntegration:
         # spec equality must hold, so the saved codes are reused verbatim
         assert loaded.config.quantization == "sq8"
         assert np.array_equal(loaded.store.codes, index.store.codes)
-
-
-class TestServePolicy:
-    def test_policy_round_trips_through_serve_config(self):
-        cfg = ServeConfig(quant=QuantizationPolicy(mode="pq8", rerank=16))
-        clone = ServeConfig.from_dict(cfg.as_dict())
-        assert clone.quant == cfg.quant
-        assert clone.quant.to_search_fields() == {
-            "quantization": "pq8", "rerank": 16,
-        }
-
-    def test_legacy_dict_defaults_to_none(self):
-        d = ServeConfig().as_dict()
-        d.pop("quant")
-        cfg = ServeConfig.from_dict(d)
-        assert cfg.quant == QuantizationPolicy()
-        assert cfg.quant.mode == "none"
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            QuantizationPolicy(mode="pq0")

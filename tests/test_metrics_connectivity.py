@@ -4,7 +4,6 @@ import numpy as np
 
 from repro.core.graph import KNNGraph
 from repro.metrics.connectivity import (
-    UnionFind,
     connected_components,
     giant_component_fraction,
     min_out_degree,
@@ -20,33 +19,6 @@ def graph_from_edges(n, edges, k=2):
         dists[a, counts[a]] = 1.0
         counts[a] += 1
     return KNNGraph(ids=ids, dists=dists)
-
-
-class TestUnionFind:
-    def test_initial_components(self):
-        assert UnionFind(5).n_components() == 5
-
-    def test_union_reduces(self):
-        uf = UnionFind(4)
-        assert uf.union(0, 1)
-        assert uf.n_components() == 3
-
-    def test_union_same_set_false(self):
-        uf = UnionFind(3)
-        uf.union(0, 1)
-        assert not uf.union(1, 0)
-
-    def test_transitive(self):
-        uf = UnionFind(4)
-        uf.union(0, 1)
-        uf.union(1, 2)
-        assert uf.find(0) == uf.find(2)
-
-    def test_component_sizes_sorted(self):
-        uf = UnionFind(5)
-        uf.union(0, 1)
-        uf.union(1, 2)
-        assert uf.component_sizes().tolist() == [3, 1, 1]
 
 
 class TestGraphConnectivity:

@@ -46,7 +46,7 @@ def index():
 @pytest.fixture(scope="module")
 def queries(index):
     rng = np.random.default_rng(8)
-    x = index._engine._x
+    x = index.points
     return x[rng.choice(x.shape[0], size=48, replace=False)]
 
 
@@ -209,7 +209,7 @@ class TestSchedulerEdgeCases:
 
     @pytest.mark.parametrize("max_batch", [1, 7, 64])
     def test_deterministic_for_any_max_batch(self, index, queries, max_batch):
-        """Serving answers equal direct BatchedGraphSearch calls exactly."""
+        """Serving answers equal direct GraphSearchIndex.search calls exactly."""
         direct_ids, direct_dists = index.search(queries, 5)
         server = KNNServer(index, ServeConfig(admission=AdmissionPolicy(
             max_batch=max_batch, max_wait_ms=5.0, queue_limit=256)))
