@@ -22,18 +22,19 @@ query's best unexpanded beam entries, gathers their graph neighbours as
 one ``(m, frontier, k)`` index matrix, masks already-visited nodes with
 per-query visited filters, scores all fresh candidates with a single
 batched gather (:func:`repro.kernels.distance.sq_l2_query_gather`) and
-merges them into the per-query beams with the same ``argpartition``
-select-k the build-time :meth:`~repro.kernels.knn_state.KnnState.merge_rows`
-uses.  Large batches shard across forked workers
+merges them into the per-query beams with one ``np.partition`` select-k
+on packed ``(dist, id)`` keys.  Large batches shard across forked workers
 (:func:`repro.utils.parallel.map_forked`).  The per-query heapq loop -
 best-first expansion one query at a time - is kept outside the library as
 the tests' and T3 bench's reference oracle (``benchmarks/search_oracle.py``);
 with ``frontier=1`` the engine expands nodes in exactly the same order and
 returns identical results on tie-free inputs.
 
-Beam entries and cross-shard merges share one packed-key codec
-(:func:`pack_keys` / :func:`unpack_keys`): an int64 whose high 32 bits are
-the float32 distance's bit pattern and whose low 31 bits are the id.
+Beam entries use the library's one packed-key codec, which the build's
+k-NN lists and the serving cluster's cross-shard merge share
+(:func:`repro.kernels.knn_state.pack_keys` / ``unpack_keys``): an int64
+whose high 32 bits are the float32 distance's bit pattern and whose low
+31 bits are the id.
 
 **Metric handling**: the builder constructs graph and forest in the
 *prepared* space of ``BuildConfig.metric`` (L2-normalised for cosine, see
@@ -64,6 +65,14 @@ from repro.kernels.distance import (
     sq8_l2_query_gather,
     sq_l2_query_gather,
 )
+from repro.kernels.knn_state import (
+    EMPTY_KEY,
+    ID_CAPACITY,
+    ID_MASK,
+    INF_KEY,
+    pack_keys,
+    unpack_keys,
+)
 from repro.obs import Events, Observability
 from repro.utils.arrays import blockwise_ranges, dedupe_per_row
 from repro.utils.parallel import map_forked, shard_ranges
@@ -80,17 +89,9 @@ _QUERY_BLOCK = 4096
 #: registry namespace the query engine's metrics emit under
 QUERY_METRICS_PREFIX = "query/"
 
-# Packed-key layout (see pack_keys): the high 32 bits hold the float32
-# distance's bit pattern (order-preserving for the non-negative squared
-# distances this library uses), bits 0..30 hold the id.  Inside the
-# engine's beams bit 31 flags an expanded entry.
+#: inside the engine's beams bit 31 of a packed key (see
+#: :func:`repro.kernels.knn_state.pack_keys`) flags an expanded entry
 _EXPANDED_BIT = np.int64(1) << 31
-_ID_MASK = np.int64((1 << 31) - 1)
-_ID_CAPACITY = 1 << 31
-#: any key at or above this has a non-finite distance (inf bit pattern)
-_INF_KEY = np.int64(0x7F800000) << 32
-#: empty slot: quiet-NaN distance bits, sorts after every real entry
-_EMPTY_KEY = np.int64(0x7FC00000) << 32
 #: visited-filter budget: dense boolean matrix below, uint64 bitsets above
 _DENSE_VISITED_BYTES = 1 << 27
 #: byte budget for a chunk's ADC lookup tables; quantized chunks shrink
@@ -152,38 +153,6 @@ class SearchConfig:
         self.rerank = int(self.rerank)
         if self.rerank < 0:
             raise ConfigurationError(f"rerank must be >= 0, got {self.rerank}")
-
-
-# -- the packed-key codec -------------------------------------------------------
-
-
-def pack_keys(ids: np.ndarray, dists: np.ndarray) -> np.ndarray:
-    """Pack ``(id, dist)`` matrices into int64 sort keys.
-
-    ``key = float32_bits(dist) << 32 | id``.  The IEEE-754 bit pattern of
-    a non-negative float is monotone in its value, so comparing keys
-    compares ``(dist, id)`` lexicographically: one sort or partition of a
-    key matrix is a select-k with id tie-break and no index gathers.
-    Slots with ``id < 0`` become the empty key, which sorts after every
-    real entry (even ``+inf``).
-    """
-    ids64 = np.asarray(ids, dtype=np.int64)
-    bits = np.ascontiguousarray(
-        np.asarray(dists, dtype=np.float32)
-    ).view(np.uint32).astype(np.int64)
-    return np.where(ids64 >= 0, (bits << 32) | (ids64 & _ID_MASK), _EMPTY_KEY)
-
-
-def unpack_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`pack_keys`: ``(ids int32, dists float32)``.
-
-    Keys with a non-finite distance (empty slots and ``+inf`` entries)
-    decode to ``-1`` / ``+inf``, the library-wide unfilled-slot marker.
-    """
-    dists = (keys >> 32).astype(np.uint32).view(np.float32)
-    found = np.isfinite(dists)
-    ids = np.where(found, (keys & _ID_MASK).astype(np.int32), np.int32(-1))
-    return ids, np.where(found, dists, np.float32(np.inf))
 
 
 # -- work counters --------------------------------------------------------------
@@ -618,9 +587,9 @@ class GraphSearchIndex:
         frontier = min(config.frontier, ef)
         kg = graph.k
 
-        if n >= _ID_CAPACITY:
+        if n >= ID_CAPACITY:
             raise ConfigurationError(
-                f"batched search supports at most {_ID_CAPACITY - 1} points, got {n}"
+                f"batched search supports at most {ID_CAPACITY - 1} points, got {n}"
             )
 
         # Beam entries are packed keys (pack_keys) with bit 31 flagging an
@@ -630,7 +599,7 @@ class GraphSearchIndex:
         # the end is the legacy result order.
         orig = np.arange(m)  # live row -> original query row
         qv = q
-        beam = np.full((m, ef), _EMPTY_KEY, dtype=np.int64)
+        beam = np.full((m, ef), EMPTY_KEY, dtype=np.int64)
         expansions = np.zeros(m, dtype=np.int64)
         out_ids = np.full((m, k), -1, dtype=np.int32)
         out_dists = np.full((m, k), np.inf, dtype=np.float32)
@@ -690,8 +659,7 @@ class GraphSearchIndex:
                 return (visited[rows, ids >> 6] & bits) != 0
 
         def merge(cand_keys: np.ndarray) -> None:
-            """Select-k merge of candidates into every live beam (the same
-            schedule as ``KnnState.merge_rows``, on packed keys).
+            """Select-k merge of candidate keys into every live beam.
 
             Rows whose candidates are all at or beyond their current worst
             beam entry cannot change and skip the select-k entirely.
@@ -716,8 +684,8 @@ class GraphSearchIndex:
             keys = np.sort(beam[rows] & ~_EXPANDED_BIT, axis=1)
             if store is not None:
                 cand = keys[:, :rerank_w]
-                finite = cand < _INF_KEY  # real entries with finite dist
-                ids_w = np.where(finite, cand & _ID_MASK, -1)
+                finite = cand < INF_KEY  # real entries with finite dist
+                ids_w = np.where(finite, cand & ID_MASK, -1)
                 rr, cc = np.nonzero(finite)
                 exact = sq_l2_query_gather(
                     q[dest], x, ids_w, valid_pairs=(rr, cc)
@@ -741,13 +709,13 @@ class GraphSearchIndex:
         while orig.size:
             # pick each live query's `frontier` nearest unexpanded beam
             # entries (expanded and empty entries are masked out)
-            masked = np.where((beam & _EXPANDED_BIT) != 0, _EMPTY_KEY, beam)
+            masked = np.where((beam & _EXPANDED_BIT) != 0, EMPTY_KEY, beam)
             if frontier == 1:
                 sel = np.argmin(masked, axis=1)[:, None]
             else:
                 sel = np.argpartition(masked, frontier - 1, axis=1)[:, :frontier]
             sel_keys = masked[np.arange(orig.size)[:, None], sel]
-            expandable = sel_keys < _INF_KEY  # real entry with finite dist
+            expandable = sel_keys < INF_KEY  # real entry with finite dist
             live = expandable.any(axis=1) & (expansions < config.max_expansions)
             if not live.all():
                 done = np.nonzero(~live)[0]
@@ -762,7 +730,7 @@ class GraphSearchIndex:
                     lut_rows = lut_rows[keep]
 
             a = orig.size
-            nodes = np.where(expandable, sel_keys[live] & _ID_MASK, -1)
+            nodes = np.where(expandable, sel_keys[live] & ID_MASK, -1)
             rr, cc = np.nonzero(expandable)
             beam[rr, sel[rr, cc]] |= _EXPANDED_BIT
             n_expanded = int(rr.size)

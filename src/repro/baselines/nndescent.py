@@ -189,7 +189,6 @@ class NNDescent:
     def _random_init(self, x: np.ndarray, rng: np.random.Generator) -> KnnState:
         """Fill every list with ``k`` distinct random non-self neighbours."""
         n = x.shape[0]
-        state = KnnState(n, self.k)
         # draw k+1 non-self ids per row (the +1 slack absorbs duplicates)
         cand = rng.integers(0, n - 1, size=(n, self.k + 1), dtype=np.int64)
         # map to "exclude self" range: values >= row shift by one
@@ -210,9 +209,7 @@ class NNDescent:
         cols = cand[:, : self.k].reshape(-1)
         rows_flat = np.repeat(np.arange(n, dtype=np.int64), self.k)
         dists = sq_l2_pairs(x, rows_flat, cols)
-        state.ids[...] = cols.reshape(n, self.k).astype(np.int32)
-        state.dists[...] = dists.reshape(n, self.k)
-        return state
+        return KnnState.from_lists(cols.reshape(n, self.k), dists.reshape(n, self.k))
 
 
 def nn_descent_graph(points: np.ndarray, k: int, **kwargs) -> KNNGraph:

@@ -4,7 +4,7 @@ Why a model
 -----------
 The vectorised backend produces the *same graphs* as GPU kernels would and
 counts the *same operations*, but its wall-clock is set by NumPy/BLAS
-constants: a bulk ``argpartition`` merge is always the fastest thing NumPy
+constants: a bulk sorted-key merge is always the fastest thing NumPy
 can do regardless of dimensionality, so wall-clock alone cannot exhibit GPU
 phenomena such as the paper's atomic-vs-tiled crossover.  This module
 prices the recorded operation counters with the SIMT device model

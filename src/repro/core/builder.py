@@ -294,14 +294,10 @@ class _HostLists:
         self.dedupe = cfg.spill > 0.0
 
     def leaf_phase(self, x: np.ndarray, forest: RPForest) -> dict[str, Any]:
-        info = run_leaf_phase_sharded(
+        return run_leaf_phase_sharded(
             self.state, x, forest_leaf_batches(forest), self.strategy,
             self.n_jobs, dedupe=self.dedupe,
         )
-        # slot order is history-dependent (insertion order vs shard merge);
-        # refine samples by (row, slot), so hand over the canonical one
-        self.state.canonicalize()
-        return info
 
     def refine_round(self, x: np.ndarray, rng: np.random.Generator, sample: int,
                      refine_state: RefineState) -> int:

@@ -483,11 +483,10 @@ class MutableIndex:
             # 2. grow: copy-on-write state over old + new rows
             n_old = graph.n
             x = np.concatenate([engine.points, q], axis=0)
-            state = KnnState(n_old + m, kg)
-            state.ids[:n_old] = graph.ids
-            state.dists[:n_old] = graph.dists
-            state.ids[n_old:] = cand_ids
-            state.dists[n_old:] = cand_dists
+            state = KnnState.from_lists(
+                np.concatenate([graph.ids, cand_ids]),
+                np.concatenate([graph.dists, cand_dists]),
+            )
             new_int = np.arange(n_old, n_old + m, dtype=np.int64)
 
             # 3. reverse edges: every candidate is offered the new point

@@ -134,10 +134,11 @@ def _reverse_lists(
     ``i`` to ``j``'s reverse list, carrying the *forward* entry's new/old
     flag, as in the reference NN-descent.
     """
-    n, k = state.ids.shape
-    valid = state.ids != EMPTY_ID
+    ids = state.ids
+    n, k = ids.shape
+    valid = ids != EMPTY_ID
     src = np.repeat(np.arange(n, dtype=np.int64), k)
-    dst = state.ids.reshape(-1).astype(np.int64)
+    dst = ids.reshape(-1).astype(np.int64)
     is_new = flags_new.reshape(-1)
     keep = valid.reshape(-1)
     src, dst, is_new = src[keep], dst[keep], is_new[keep]
@@ -205,18 +206,19 @@ def join_candidates(
     Returns ``(rows, cols, shard_seconds)``: every unordered pair in both
     directions, plus each row shard's wall time.
     """
-    n, k = state.ids.shape
+    ids = state.ids
+    n, k = ids.shape
     flags = _new_flags(state, refine_state.prev_ids)
     keys_new = rng.random((n, k))
     keys_old = rng.random((n, k))
     rev_new, rev_old = _reverse_lists(state, flags, sample, rng)
     parts = map_forked(
         _candidates_worker,
-        (state.ids, flags, keys_new, keys_old, rev_new, rev_old, sample, n),
+        (ids, flags, keys_new, keys_old, rev_new, rev_old, sample, n),
         shard_ranges(n, max(1, n_jobs)),
         n_jobs,
     )
-    refine_state.prev_ids = state.ids.copy()
+    refine_state.prev_ids = ids
     uniq = np.unique(np.concatenate([part[0] for part in parts]))
     klo = uniq // n
     khi = uniq % n
@@ -236,13 +238,11 @@ def _insert_worker(shared: tuple, lo: int, hi: int) -> tuple:
     unordered pair within the shard and mirrored (``(a-b)**2 == (b-a)**2``
     holds bitwise in IEEE arithmetic).
     """
-    ids, dists, x, rows, cols, strategy, k, n = shared
+    keys, x, rows, cols, strategy, n = shared
     t0 = time.perf_counter()
     mask = (rows >= lo) & (rows < hi)
     r, c = rows[mask], cols[mask]
-    sub = KnnState(hi - lo, k)
-    sub.ids = ids[lo:hi]
-    sub.dists = dists[lo:hi]
+    sub = KnnState.from_keys(keys[lo:hi])
     strat = copy.copy(strategy)
     strat.reset_counters()
     pair_keys = np.minimum(r, c) * np.int64(n) + np.maximum(r, c)
@@ -251,8 +251,7 @@ def _insert_worker(shared: tuple, lo: int, hi: int) -> tuple:
     strat.counters.distance_evals += int(uniq.size)
     inserted = strat.insert(sub, r - lo, c, d)
     return (
-        sub.ids,
-        sub.dists,
+        sub.keys,
         inserted,
         strat.counters.as_dict(),
         time.perf_counter() - t0,
@@ -275,24 +274,23 @@ def insert_candidates(
     """
     if rows.size == 0:
         return 0, []
-    n, k = state.ids.shape
+    n = state.n
     shards = shard_ranges(n, max(1, n_jobs))
     kernel = f"refine_pairs/{strategy.name}"
     t0 = strategy._dispatch_begin(kernel, pairs=int(rows.size))
     parts = map_forked(
         _insert_worker,
-        (state.ids, state.dists, x, rows, cols, strategy, k, n),
+        (state.keys, x, rows, cols, strategy, n),
         shards,
         n_jobs,
     )
     inserted = 0
     for (lo, hi), part in zip(shards, parts):
-        state.ids[lo:hi] = part[0]
-        state.dists[lo:hi] = part[1]
-        inserted += int(part[2])
-        strategy.counters.add(OpCounters(**part[3]))
+        state.keys[lo:hi] = part[0]
+        inserted += int(part[1])
+        strategy.counters.add(OpCounters(**part[2]))
     strategy._dispatch_end(t0, kernel, inserted, pairs=int(rows.size))
-    return inserted, [float(part[4]) for part in parts]
+    return inserted, [float(part[3]) for part in parts]
 
 
 def refine_round(

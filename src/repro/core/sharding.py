@@ -8,18 +8,17 @@ trees, tree order) is split into contiguous shards; each forked worker
 replays its shard through the caller's strategy kernel (inherited
 through fork, with fresh counters) into a private empty
 :class:`~repro.kernels.knn_state.KnnState`, then the per-worker lists
-are combined row-range-parallel through the existing bulk merge kernel
-(:meth:`~repro.kernels.knn_state.KnnState.merge_rows`) in **fixed shard
-order** - when one neighbour id is offered by several shards, the
-earliest shard's distance survives, exactly like the serial "first
-offer wins" membership filter.
+are combined row-range-parallel in **fixed shard order**: concatenate
+their sorted key rows, drop repeated ids, sort, keep ``k``.  When one
+neighbour id is offered by several shards, the earliest shard's distance
+survives, exactly like the serial "first offer wins" membership filter.
 
 The vectorised build runs its leaf phase through it at every ``n_jobs``:
 with one shard the worker runs inline and its lists are the result, so
 there is no merge.  Either way the phase is reported as one
 ``leaf_allpairs`` kernel dispatch.  The refine rounds are row-sharded by
 :func:`repro.core.refine.refine_round`, which every caller shares.  See
-``docs/parallel.md`` for the one tie-related caveat in the leaf merge.
+``docs/parallel.md`` for why any ``n_jobs`` gives the same bytes.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from repro.kernels.counters import OpCounters
-from repro.kernels.knn_state import EMPTY_ID, KnnState
+from repro.kernels.knn_state import EMPTY_KEY, ID_MASK, INF_KEY, KnnState
 from repro.kernels.strategy import Strategy
 from repro.utils.parallel import map_forked, shard_ranges
 
@@ -73,35 +72,33 @@ def _leaf_build_worker(shared: tuple, lo: int, hi: int) -> tuple:
     local = KnnState(n, k)
     for mat, lengths in batches[lo:hi]:
         strat.update_leaf_batch(local, x, mat, lengths, dedupe=dedupe)
-    return local.ids, local.dists, strat.counters.as_dict(), time.perf_counter() - t0
+    return local.keys, strat.counters.as_dict(), time.perf_counter() - t0
 
 
 def _leaf_merge_worker(shared: tuple, lo: int, hi: int) -> tuple:
-    """Combine the per-worker lists for rows ``[lo, hi)`` (select-k merge).
+    """Combine the per-worker lists for rows ``[lo, hi)`` (sort, keep k).
 
     A neighbour id may appear in several workers' lists for the same row
     (trees overlap); only the **earliest shard's** occurrence is kept -
     the serial build's membership filter drops every later re-offer of an
     id already present, so first-offer-wins is what matches it.
     """
-    ids_list, dists_list, k = shared
+    keys_list, k = shared
     t0 = time.perf_counter()
-    cand_i = np.concatenate([w[lo:hi] for w in ids_list], axis=1)
-    cand_d = np.concatenate([w[lo:hi] for w in dists_list], axis=1)
+    cand = np.concatenate([w[lo:hi] for w in keys_list], axis=1)
     # stable sort by id: among equal ids the earliest shard sorts first
-    order = np.argsort(cand_i, axis=1, kind="stable")
-    sorted_i = np.take_along_axis(cand_i, order, axis=1)
+    # (empty keys share one id pattern; dropping their repeats is harmless)
+    cand_ids = cand & ID_MASK
+    order = np.argsort(cand_ids, axis=1, kind="stable")
+    sorted_i = np.take_along_axis(cand_ids, order, axis=1)
     dup_sorted = np.zeros_like(sorted_i, dtype=bool)
-    dup_sorted[:, 1:] = (sorted_i[:, 1:] == sorted_i[:, :-1]) & (
-        sorted_i[:, 1:] != EMPTY_ID
-    )
+    dup_sorted[:, 1:] = sorted_i[:, 1:] == sorted_i[:, :-1]
     dup = np.zeros_like(dup_sorted)
     np.put_along_axis(dup, order, dup_sorted, axis=1)
-    cand_i[dup] = EMPTY_ID
-    cand_d[dup] = np.inf
-    sub = KnnState(hi - lo, k)
-    inserted = sub.merge_rows(np.arange(hi - lo), cand_i, cand_d)
-    return sub.ids, sub.dists, inserted, time.perf_counter() - t0
+    cand[dup] = EMPTY_KEY
+    merged = np.sort(cand, axis=1)[:, :k]
+    inserted = int((merged < INF_KEY).sum())
+    return merged, inserted, time.perf_counter() - t0
 
 
 def run_leaf_phase_sharded(
@@ -131,24 +128,19 @@ def run_leaf_phase_sharded(
         n_jobs,
     )
     for result in results:
-        strategy.counters.add(OpCounters(**result[2]))
-    shard_seconds = [float(result[3]) for result in results]
+        strategy.counters.add(OpCounters(**result[1]))
+    shard_seconds = [float(result[2]) for result in results]
     m0 = time.perf_counter()
     if len(results) == 1:
-        state.ids[...] = results[0][0]
-        state.dists[...] = results[0][1]
-        inserted = int((state.ids != EMPTY_ID).sum())
+        state.keys[...] = results[0][0]
+        inserted = int(state.filled_counts().sum())
     else:
-        ids_list = [result[0] for result in results]
-        dists_list = [result[1] for result in results]
+        keys_list = [result[0] for result in results]
         inserted = 0
         row_shards = shard_ranges(n, n_jobs)
-        merged = map_forked(
-            _leaf_merge_worker, (ids_list, dists_list, k), row_shards, n_jobs
-        )
-        for (lo, hi), (mids, mdists, ins, _sec) in zip(row_shards, merged):
-            state.ids[lo:hi] = mids
-            state.dists[lo:hi] = mdists
+        merged = map_forked(_leaf_merge_worker, (keys_list, k), row_shards, n_jobs)
+        for (lo, hi), (mkeys, ins, _sec) in zip(row_shards, merged):
+            state.keys[lo:hi] = mkeys
             inserted += int(ins)
     merge_seconds = time.perf_counter() - m0
     strategy._dispatch_end(t0, kernel, inserted, shards=len(shards))

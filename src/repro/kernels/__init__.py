@@ -20,10 +20,14 @@ Strategy      Vectorised analogue (and what the wall-clock reflects)
 ``tiled``     candidates staged through shared memory in fixed-size tiles,
               then bulk-merged into the global list with a warp bitonic
               merge.  Emulated as a fully-batched pad-to-tile +
-              select-k merge, and its leaf distance computation uses the
+              sorted-key merge, and its leaf distance computation uses the
               blocked GEMM decomposition (the shared-memory tiling analogue),
               which is what makes it win at high dimensionality.
 ============  ==============================================================
+
+Every list row is one sorted array of packed ``(dist, id)`` keys
+(:class:`~repro.kernels.knn_state.KnnState`), so all three leave the same
+canonical rows for the same offers.
 
 Exact bit-level warp implementations of the same strategies live in
 :mod:`repro.simt_kernels` (run on the simulator for microarchitecture

@@ -16,10 +16,14 @@ dimensionality) and insertion dominates.  Contention grows with K and with
 candidate pressure, which is what degrades it.
 
 The vectorised analogue performs synchronous *passes* over the whole
-candidate batch: every still-pending candidate re-checks the row maximum
-("one CAS attempt", counted in ``atomic_attempts``); exactly one candidate
-per row wins each pass, the rest replay (counted in ``atomic_retries``).
-The final lists are identical to the k smallest of the offered union, as on
+candidate batch on the same packed keys (:func:`repro.kernels.knn_state.pack_keys`,
+whose order is the ``(dist, id)`` order of the device word): every
+still-pending candidate re-checks the row maximum ("one CAS attempt",
+counted in ``atomic_attempts``); exactly one candidate per row wins each
+pass, the rest replay (counted in ``atomic_retries``).  A CAS replaces a
+slot in place, so the touched rows are re-sorted when the window drains,
+keeping :class:`~repro.kernels.knn_state.KnnState` rows canonical.  The
+final lists are identical to the k smallest of the offered union, as on
 hardware.
 """
 
@@ -65,36 +69,30 @@ class AtomicStrategy(Strategy):
         return {**super().obs_attrs(), "discipline": "cas",
                 "concurrency": self.concurrency}
 
-    def _insert(
-        self, state: KnnState, rows: np.ndarray, cols: np.ndarray, dists: np.ndarray
-    ) -> int:
+    def _insert(self, state: KnnState, rows: np.ndarray, keys: np.ndarray) -> int:
         inserted = 0
         for s in range(0, rows.shape[0], self.concurrency):
             e = s + self.concurrency
-            inserted += self._insert_window(state, rows[s:e], cols[s:e], dists[s:e])
+            inserted += self._insert_window(state, rows[s:e], keys[s:e])
         return inserted
 
-    def _insert_window(
-        self, state: KnnState, rows: np.ndarray, cols: np.ndarray, dists: np.ndarray
-    ) -> int:
+    def _insert_window(self, state: KnnState, rows: np.ndarray, keys: np.ndarray) -> int:
         # row-sort once so per-pass bookkeeping is per *row*, not per candidate
         order = np.argsort(rows, kind="stable")
         srows = rows[order]
-        scols = cols[order].astype(np.int32)
-        sdists = dists[order]
+        skeys = keys[order]
         urows = np.unique(srows)
         row_code = np.searchsorted(urows, srows)  # candidate -> dense row index
-        dmat, ids = state.dists, state.ids
+        kmat = state.keys[urows]  # the touched rows; CAS passes write here
         inserted = 0
         pending = np.arange(srows.shape[0])
         pcodes = row_code
         while pending.size:
             # every pending candidate re-reads its row's current maximum
             # (one "scan + CAS attempt"); computed once per distinct row
-            row_lists = dmat[urows]
-            slot_per_row = row_lists.argmax(axis=1)
-            rmax_per_row = row_lists[np.arange(urows.size), slot_per_row]
-            alive = sdists[pending] < rmax_per_row[pcodes]
+            slot_per_row = kmat.argmax(axis=1)
+            rmax_per_row = kmat[np.arange(urows.size), slot_per_row]
+            alive = skeys[pending] < rmax_per_row[pcodes]
             pending = pending[alive]
             pcodes = pcodes[alive]
             if pending.size == 0:
@@ -105,10 +103,7 @@ class AtomicStrategy(Strategy):
             _, first = np.unique(pcodes, return_index=True)
             winners = pending[first]
             wcodes = pcodes[first]
-            wrows = urows[wcodes]
-            wslot = slot_per_row[wcodes]
-            dmat[wrows, wslot] = sdists[winners]
-            ids[wrows, wslot] = scols[winners]
+            kmat[wcodes, slot_per_row[wcodes]] = skeys[winners]
             inserted += int(winners.size)
             # one CAS per acceptance: each source warp drives its candidates
             # sequentially, so an accepted candidate CASes exactly once.
@@ -122,4 +117,5 @@ class AtomicStrategy(Strategy):
             keep[first] = False
             pending = pending[keep]
             pcodes = pcodes[keep]
+        state.keys[urows] = np.sort(kmat, axis=1)
         return inserted

@@ -12,7 +12,7 @@ variant, which the named ones improve on): to insert a candidate into point
 
 The lock serialises all updates that touch the same point, so the cost is
 proportional to the *total number of candidates per point*, with no overlap.
-The vectorised analogue processes each row's candidate group one at a time
+The vectorised analogue merges each row's candidate group one at a time
 (a Python-level loop over rows - deliberately serial per point) and counts
 one ``lock_acquisition`` per row-group.
 """
@@ -38,28 +38,16 @@ class BaselineStrategy(Strategy):
         """Dispatch payload: the baseline discipline is a per-point lock."""
         return {**super().obs_attrs(), "discipline": "lock"}
 
-    def _insert(
-        self, state: KnnState, rows: np.ndarray, cols: np.ndarray, dists: np.ndarray
-    ) -> int:
+    def _insert(self, state: KnnState, rows: np.ndarray, keys: np.ndarray) -> int:
         order = np.argsort(rows, kind="stable")
         srows = rows[order]
-        scols = cols[order].astype(np.int32)
-        sdists = dists[order]
+        skeys = keys[order]
         urows, starts, counts = segment_lengths(srows)
         self.counters.lock_acquisitions += int(urows.size)
-        k = state.k
         inserted = 0
-        ids, dmat = state.ids, state.dists
-        for row, start, count in zip(urows, starts, counts):
-            # -- lock held: serial scan-and-replace for this point ----------
-            cur_d = dmat[row]
-            cur_i = ids[row]
-            cand_d = sdists[start : start + count]
-            cand_i = scols[start : start + count]
-            merged_d = np.concatenate([cur_d, cand_d])
-            merged_i = np.concatenate([cur_i, cand_i])
-            sel = np.argpartition(merged_d, k - 1)[:k]
-            inserted += int(((sel >= k) & np.isfinite(merged_d[sel])).sum())
-            dmat[row] = merged_d[sel]
-            ids[row] = merged_i[sel]
+        for i, (start, count) in enumerate(zip(starts, counts)):
+            # -- lock held: serial merge into this point's list ----------
+            inserted += state.merge_rows(
+                urows[i : i + 1], skeys[None, start : start + count]
+            )
         return inserted

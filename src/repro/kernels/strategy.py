@@ -10,8 +10,9 @@ two kernel launches of the paper's pipeline:
   of (point, candidate) pairs from neighbour-of-neighbour exploration.
 
 Common pre-filtering (drop self-pairs, drop candidates already present in
-the target list) lives here; subclasses implement only ``_insert``, the
-maintenance discipline that distinguishes the three strategies.
+the target list or not beating its worst key) lives here; subclasses
+implement only ``_insert``, the maintenance discipline that distinguishes
+the three strategies.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.kernels.counters import OpCounters
 from repro.kernels.distance import batched_self_sq_l2, sq_l2_pairs
-from repro.kernels.knn_state import KnnState
+from repro.kernels.knn_state import ID_MASK, KnnState, pack_keys
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
@@ -227,22 +228,26 @@ class Strategy(ABC):
     ) -> int:
         """Filter candidates and hand the survivors to the strategy kernel.
 
-        Filtering performs the two O(k) scans every warp variant does before
-        attempting an insertion: membership ("is j already in i's list?") and
-        the quick reject against the row's current worst distance.
+        Filtering performs the two O(k) checks every warp variant does
+        before attempting an insertion, on packed ``(dist, id)`` keys: the
+        quick reject against the row's worst key (its last column, so ties
+        break by id) and membership ("is j already in i's list?"), one
+        gather of the surviving rows' keys.
         """
         if rows.size == 0:
             return 0
         self.counters.candidates_seen += int(rows.size)
-        keep = ~state.contains(rows, cols)
-        keep &= dists < state.row_max(rows)
-        rows, cols, dists = rows[keep], cols[keep], dists[keep]
+        keys = pack_keys(cols, dists)
+        keep = keys < state.keys[rows, -1]
+        rows, cols, keys = rows[keep], cols[keep], keys[keep]
+        keep = ~((state.keys[rows] & ID_MASK) == cols[:, None]).any(axis=1)
+        rows, cols, keys = rows[keep], cols[keep], keys[keep]
         if rows.size == 0:
             return 0
         self.counters.candidates_offered += int(rows.size)
         if _sanitize_enabled():
             self._check_batch_unique(state, rows, cols)
-        inserted = self._insert(state, rows, cols, dists)
+        inserted = self._insert(state, rows, keys)
         self.counters.candidates_inserted += inserted
         return inserted
 
@@ -272,15 +277,14 @@ class Strategy(ABC):
             )
 
     @abstractmethod
-    def _insert(
-        self, state: KnnState, rows: np.ndarray, cols: np.ndarray, dists: np.ndarray
-    ) -> int:
+    def _insert(self, state: KnnState, rows: np.ndarray, keys: np.ndarray) -> int:
         """Apply the strategy's maintenance discipline; returns #inserted.
 
+        ``keys`` are the candidates' packed ``(dist, id)`` keys.
         Preconditions guaranteed by :meth:`insert`: no self pairs, no
         candidate already present in its row, every candidate beats its
-        row's current maximum, and (from the builder) no duplicate
-        ``(row, col)`` pairs within the batch.
+        row's current worst key, and (from the builder) no duplicate
+        ``(row, col)`` pairs within the batch.  Rows must be left sorted.
         """
 
     def reset_counters(self) -> OpCounters:

@@ -20,7 +20,7 @@ atomic strategy - one cheap CAS per candidate - wins when distances are
 cheap (low dimensionality).
 
 The vectorised analogue pads each row's candidate group to ``tile_size``
-columns and merges whole batches with one select-k per tile round.
+packed keys and merges whole batches with one row sort per tile round.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.kernels.knn_state import EMPTY_ID, KnnState
+from repro.kernels.knn_state import EMPTY_KEY, KnnState
 from repro.kernels.strategy import Strategy, register_strategy
 from repro.utils.arrays import segment_lengths
 
@@ -63,13 +63,10 @@ class TiledStrategy(Strategy):
         return {**super().obs_attrs(), "discipline": "bulk-merge",
                 "tile_size": self.tile_size}
 
-    def _insert(
-        self, state: KnnState, rows: np.ndarray, cols: np.ndarray, dists: np.ndarray
-    ) -> int:
+    def _insert(self, state: KnnState, rows: np.ndarray, keys: np.ndarray) -> int:
         order = np.argsort(rows, kind="stable")
         srows = rows[order]
-        scols = cols[order].astype(np.int32)
-        sdists = dists[order]
+        skeys = keys[order]
         urows, starts, counts = segment_lengths(srows)
         tile = self.tile_size
         max_count = int(counts.max())
@@ -85,9 +82,8 @@ class TiledStrategy(Strategy):
             pos = starts[sel, None] + c0 + col_offsets[None, :]
             valid = col_offsets[None, :] < width[:, None]
             pos = np.where(valid, pos, 0)  # clamp; masked out below
-            cand_d = np.where(valid, sdists[pos], np.float32(np.inf))
-            cand_i = np.where(valid, scols[pos], np.int32(EMPTY_ID))
+            cand = np.where(valid, skeys[pos], EMPTY_KEY)
             self.counters.merge_rounds += 1
-            self.counters.merge_slots += int(cand_d.size)
-            inserted += state.merge_rows(rsel, cand_i, cand_d)
+            self.counters.merge_slots += int(cand.size)
+            inserted += state.merge_rows(rsel, cand)
         return inserted

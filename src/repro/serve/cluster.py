@@ -58,13 +58,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.apps.search import (
-    _ID_CAPACITY,
-    GraphSearchIndex,
-    SearchConfig,
-    pack_keys,
-    unpack_keys,
-)
+from repro.apps.search import GraphSearchIndex, SearchConfig
 from repro.core.sharding import shard_partition
 from repro.errors import (
     ClusterError,
@@ -72,6 +66,7 @@ from repro.errors import (
     ReplicaUnavailable,
     ShardUnavailable,
 )
+from repro.kernels.knn_state import ID_CAPACITY, pack_keys, unpack_keys
 from repro.obs import Events, Observability, Tracer
 from repro.serve.client import index_ef
 from repro.serve.frontend import Executor, FrontendSpec, GroupCall, ServingFrontend
@@ -97,9 +92,10 @@ def merge_topk(
     ``parts`` is a sequence of ``(ids, dists)`` pairs, one per shard, each
     ``(m, k_s)`` with *global* ids, ascending distance, ``-1``/``+inf``
     in unfilled slots.  Every pair is packed into ``(dist, id)`` keys
-    (:func:`~repro.apps.search.pack_keys`) and one row-wise sort selects the merged top-``k`` - the same
-    lexicographic order a flat index's engine emits, so given exhaustive
-    per-shard inputs the merge reproduces the flat result bitwise.
+    (:func:`~repro.kernels.knn_state.pack_keys`) and one row-wise sort
+    selects the merged top-``k`` - the same lexicographic order a flat
+    index's engine emits, so given exhaustive per-shard inputs the merge
+    reproduces the flat result bitwise.
     """
     if not parts:
         raise ConfigurationError("merge_topk() needs at least one shard part")
@@ -849,9 +845,9 @@ class ClusterClient(ServingFrontend):
                     f"[{lo}, {hi})"
                 )
             expect = hi
-        if expect >= _ID_CAPACITY:
+        if expect >= ID_CAPACITY:
             raise ConfigurationError(
-                f"cluster supports at most {_ID_CAPACITY - 1} points, "
+                f"cluster supports at most {ID_CAPACITY - 1} points, "
                 f"got {expect}"
             )
         dims = {index.dim for index in shard_indexes}

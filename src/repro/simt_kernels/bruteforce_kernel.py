@@ -115,7 +115,7 @@ def bruteforce_knng_simt(
         block_warps=queries_per_block,
         args=(xbuf, dist_buf, id_buf, n, dim, k, queries_per_block),
     )
-    state = KnnState(n, k)
-    state.dists[...] = dist_buf.to_host().reshape(n, k)
-    state.ids[...] = id_buf.to_host().reshape(n, k)
+    state = KnnState.from_lists(
+        id_buf.to_host().reshape(n, k), dist_buf.to_host().reshape(n, k)
+    )
     return state, device

@@ -67,15 +67,12 @@ class _DeviceLists:
 
     def to_state(self) -> KnnState:
         """Copy the device lists back into a host KnnState."""
-        state = KnnState(self.n, self.k)
+        shape = (self.n, self.k)
         if self.strategy == "atomic":
             dists, ids = unpack_dist_id(self.packed.to_host())
-            state.dists[...] = dists.reshape(self.n, self.k)
-            state.ids[...] = ids.reshape(self.n, self.k)
         else:
-            state.dists[...] = self.dists.to_host().reshape(self.n, self.k)
-            state.ids[...] = self.ids.to_host().reshape(self.n, self.k)
-        return state
+            dists, ids = self.dists.to_host(), self.ids.to_host()
+        return KnnState.from_lists(ids.reshape(shape), dists.reshape(shape))
 
     def leaf_phase(self, x: np.ndarray, forest: RPForest) -> None:
         """One leaf all-pairs launch per leaf, tree by tree."""

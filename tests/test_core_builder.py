@@ -125,3 +125,35 @@ class TestReport:
         builder.build(small_clustered)
         assert builder.last_forest is not None
         assert builder.last_forest.n_trees == 3
+
+
+class TestSelectArrangement:
+    """The graph is a function of the candidate keys, not of how NumPy's
+    selection routines arrange the positions they leave unordered."""
+
+    @staticmethod
+    def _reversing(select):
+        """Wrap ``select`` to reverse the first ``kth + 1`` output positions:
+        still a valid top-(kth+1) set, in a different arrangement."""
+
+        def wrapped(a, kth, axis=-1, **kwargs):
+            out = select(a, kth, axis=axis, **kwargs)
+            if not np.isscalar(kth) or np.ndim(out) == 0:
+                return out
+            view = np.moveaxis(out, -1 if axis is None else axis, -1)
+            view[..., : kth + 1] = view[..., kth::-1].copy()
+            return out
+
+        return wrapped
+
+    @pytest.mark.parametrize("strategy", ["tiled", "baseline", "atomic"])
+    def test_build_ignores_select_arrangement(self, strategy, monkeypatch):
+        x = np.random.default_rng(3).standard_normal((1500, 16)).astype(np.float32)
+        config = cfg(k=12, strategy=strategy, refine_iters=3, seed=3)
+        plain = WKNNGBuilder(config).build(x)
+        monkeypatch.setattr(np, "argpartition", self._reversing(np.argpartition))
+        monkeypatch.setattr(np, "partition", self._reversing(np.partition))
+        wrapped = WKNNGBuilder(config).build(x)
+        assert np.array_equal(plain.ids, wrapped.ids)
+        assert np.array_equal(plain.dists.view(np.uint32), wrapped.dists.view(np.uint32))
+        assert plain.report.counters == wrapped.report.counters

@@ -17,11 +17,9 @@ from repro.utils.parallel import fork_available
 
 
 def make_state(ids):
+    """A state holding ``ids`` at distance 1.0 (rows then sort by id)."""
     ids = np.asarray(ids, dtype=np.int32)
-    state = KnnState(ids.shape[0], ids.shape[1])
-    state.ids[...] = ids
-    state.dists[...] = np.where(ids == EMPTY_ID, np.inf, 1.0)
-    return state
+    return KnnState.from_lists(ids, np.where(ids == EMPTY_ID, np.inf, 1.0))
 
 
 class TestNewFlags:
@@ -37,9 +35,9 @@ class TestNewFlags:
         assert flags.tolist() == [[False, False], [True, False]]
 
     def test_empty_slots_never_new(self):
-        state = make_state([[EMPTY_ID, 5]])
+        state = make_state([[5, EMPTY_ID]])
         flags = _new_flags(state, np.array([[9, 9]], dtype=np.int32))
-        assert flags.tolist() == [[False, True]]
+        assert flags.tolist() == [[True, False]]
 
 
 class TestSampleColumns:
@@ -124,14 +122,14 @@ class TestRefineRound:
     def test_improves_random_graph(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((200, 8)).astype(np.float32)
-        state = KnnState(200, 6)
         strat = get_strategy("tiled")
         # seed with random neighbours
+        ids = np.empty((200, 6), dtype=np.int64)
+        dists = np.empty((200, 6), dtype=np.float32)
         for i in range(200):
-            cand = rng.choice(np.delete(np.arange(200), i), 6, replace=False)
-            d = ((x[i] - x[cand]) ** 2).sum(1)
-            state.merge_rows(np.array([i]), cand[None, :].astype(np.int32),
-                             d[None, :].astype(np.float32))
+            ids[i] = rng.choice(np.delete(np.arange(200), i), 6, replace=False)
+            dists[i] = ((x[i] - x[ids[i]]) ** 2).sum(1)
+        state = KnnState.from_lists(ids, dists)
         before = state.dists.sum()
         rs = RefineState()
         inserted = refine_round(state, x, strat, rng, 6, rs)
@@ -182,9 +180,7 @@ class TestRoundAcrossJobs:
                            rng.integers(0, n_old, new.size * 3))
         results = []
         for n_jobs in (1, 3):
-            state = KnnState(300, k)
-            state.ids[...] = base.ids
-            state.dists[...] = base.dists
+            state = base.copy()
             rs = RefineState(prev_ids=prev_ids.copy())
             inserted = refine_round(state, x, get_strategy(strategy),
                                     np.random.default_rng(6), 6, rs,

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.kernels import KnnState, get_strategy
 from repro.kernels.distance import pairwise_sq_l2_direct, pairwise_sq_l2_gemm
+from repro.kernels.knn_state import EMPTY_KEY, ID_MASK, INF_KEY, pack_keys
 from repro.metrics.recall import knn_recall, per_point_recall
 from repro.simt.atomics import pack_dist_id, unpack_dist_id
 from repro.simt.config import DeviceConfig
@@ -174,6 +175,55 @@ class TestStrategyEquivalence:
         results["tiled_sym"] = np.sort(state.dists, axis=1)
         assert np.allclose(results["atomic"], results["baseline"], equal_nan=True)
         assert np.allclose(results["atomic"], results["tiled_sym"], equal_nan=True)
+
+
+class TestStrategyListInvariants:
+    """After every kernel call, each strategy's lists are exactly the model:
+    per row, the k smallest packed keys over all distinct-id offers so far,
+    sorted, with distinct ids.  Integer-grid points make every distance
+    an exact small integer in every schedule (GEMM or direct, leaf or
+    pair), so each (row, id) has one key and ties are everywhere."""
+
+    @staticmethod
+    def _check(state, offers, k):
+        keys = state.keys
+        assert np.array_equal(keys, np.sort(keys, axis=1))
+        for row in range(state.n):
+            real = keys[row][keys[row] < INF_KEY]
+            ids = real & ID_MASK
+            assert np.unique(ids).size == ids.size
+            model = np.full(k, EMPTY_KEY, dtype=np.int64)
+            best = np.sort(np.fromiter(offers[row].values(), np.int64,
+                                       len(offers[row])))[:k]
+            model[: best.size] = best
+            assert np.array_equal(keys[row], model), f"row {row}"
+
+    @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(12, 40))
+    @settings(max_examples=15, deadline=None)
+    def test_rows_are_sorted_model_top_k(self, seed, k, n):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 3, (n, 2)).astype(np.float32)
+        sq = lambda r, c: float(((x[r] - x[c]) ** 2).sum())  # noqa: E731
+        ops = []
+        for _ in range(4):
+            ops.append(("leaf", rng.choice(n, size=min(n, 9), replace=False)))
+            ops.append(("pairs", rng.integers(0, n, 30), rng.integers(0, n, 30)))
+        for name in ("atomic", "baseline", "tiled"):
+            strat = get_strategy(name)
+            state = KnnState(n, k)
+            offers = [dict() for _ in range(n)]
+            for op in ops:
+                if op[0] == "leaf":
+                    strat.update_leaf(state, x, op[1])
+                    pairs = [(r, c) for r in op[1] for c in op[1] if r != c]
+                else:
+                    strat.update_pairs(state, x, op[1], op[2])
+                    pairs = [(r, c) for r, c in zip(op[1], op[2]) if r != c]
+                    if strat.pair_mode == "unordered":
+                        pairs += [(c, r) for r, c in pairs]
+                for r, c in pairs:
+                    offers[r][int(c)] = int(pack_keys([c], [sq(r, c)])[0])
+                self._check(state, offers, k)
 
 
 class TestRecallProperties:

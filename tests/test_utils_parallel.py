@@ -162,6 +162,26 @@ class TestShardedBuildDeterminism:
             )
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    @pytest.mark.parametrize("strategy", ["baseline", "atomic", "tiled"])
+    @pytest.mark.parametrize("spill", [0.0, 0.3])
+    def test_bitwise_identical_across_n_jobs_on_exact_ties(self, strategy, spill):
+        """Integer-grid points: every distance is an exact small integer,
+        so many candidates tie at each row's k-th place (duplicate points
+        tie at 0).  Ties break by id in every merge, so the shard split
+        still cannot change which ones are kept."""
+        grid = np.random.default_rng(5).integers(0, 4, (700, 3)).astype(np.float32)
+        graphs = [
+            WKNNGBuilder(BuildConfig(k=8, strategy=strategy, n_trees=4,
+                                     leaf_size=40, refine_iters=2, seed=1,
+                                     spill=spill, n_jobs=n_jobs)).build(grid)
+            for n_jobs in (1, 3)
+        ]
+        serial, sharded = graphs
+        assert np.array_equal(serial.ids, sharded.ids)
+        assert np.array_equal(serial.dists.view(np.uint32),
+                              sharded.dists.view(np.uint32))
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_report_parallel_section(self, points):
         _, report = self._build(points, "tiled", n_jobs=2,
                                 return_report=True)
