@@ -14,7 +14,11 @@ Two measurements on the headline workload (n=50k, d=64, k=16 at scale
 * end-to-end wall clock, serial vs ``n_jobs=4``, with the bitwise
   graph-equality check (always asserted, at any scale);
 * per-phase wall clock from the build reports, so a scaling regression
-  is attributable to a phase.
+  is attributable to a phase;
+* exact brute force (``exact_knn_graph``) on the same data, beside the
+  serial build: the published ``wknng_over_exact`` ratio (and the serial
+  graph's recall against it) shows where w-KNNG overtakes exact.  It is
+  an ungated timing.
 
 The >=3x speedup gate only fires at ``WKNNG_BENCH_SCALE >= 1`` *and* with
 at least 4 usable CPUs: on fewer cores (or at smoke scale, where fork
@@ -28,9 +32,11 @@ import time
 import numpy as np
 
 from conftest import BENCH_SCALE, publish, publish_summary
+from repro.baselines.bruteforce import exact_knn_graph
 from repro.core.builder import WKNNGBuilder
 from repro.core.config import BuildConfig
 from repro.data.synthetic import make_dataset
+from repro.metrics.recall import knn_recall
 from repro.metrics.records import RecordSet
 from repro.utils.parallel import fork_available, usable_cpus
 
@@ -66,6 +72,9 @@ def test_t4_parallel_build_speedup(results_dir):
     t_serial, g_serial, rep_serial = _build(x, n_jobs=1)
     t_parallel, g_parallel, rep_parallel = _build(x, n_jobs=N_JOBS)
     speedup = t_serial / t_parallel
+    t0 = time.perf_counter()
+    g_exact = exact_knn_graph(x, K)
+    t_exact = time.perf_counter() - t0
 
     records = RecordSet()
     for mode, seconds, rep in (("serial", t_serial, rep_serial),
@@ -81,6 +90,12 @@ def test_t4_parallel_build_speedup(results_dir):
                    for phase, secs in rep.phase_seconds.items()},
             },
         )
+    records.add(
+        "T4",
+        {"mode": "exact", "n": n, "dim": DIM, "k": K, "strategy": "bruteforce"},
+        {"seconds": t_exact, "points_per_s": n / t_exact,
+         "speedup_vs_serial": t_serial / t_exact},
+    )
     publish(results_dir, "T4_build_throughput", records)
     publish_summary(results_dir, "T4", {
         "workload": {"n": n, "dim": DIM, "k": K, "strategy": STRATEGY,
@@ -89,6 +104,9 @@ def test_t4_parallel_build_speedup(results_dir):
         "serial_seconds": t_serial,
         "parallel_seconds": t_parallel,
         "speedup": speedup,
+        "exact_seconds": t_exact,
+        "wknng_over_exact": t_serial / t_exact,
+        "serial_recall": knn_recall(g_serial.ids, g_exact.ids),
         "graphs_bitwise_identical": True,  # asserted below; job fails otherwise
         "parallel_report": rep_parallel.parallel,
     })

@@ -27,13 +27,17 @@ forked workers, inline as one shard when ``n_jobs=1``:
 
 * :func:`join_candidates` - the global inputs (new/old flags, sampling
   keys, reverse neighbourhoods) are drawn once in the parent, after which
-  the join is row-local: each shard joins and canonicalises its row
-  range and the parent takes the global union of the pair keys;
-* :func:`insert_candidates` - each shard computes the distances of the
-  candidates targeting its rows (once per unordered pair) and inserts
-  them.  All three maintenance disciplines are row-independent, so
-  splitting the insert by row ranges is exact: any ``n_jobs`` gives the
-  bitwise-identical lists.
+  the join is row-local: each shard joins its row range into sorted,
+  unique canonical pair keys ``lo * n + hi``, and the parent unites the
+  shards with one more sort (none for a single shard);
+* :func:`insert_candidates` - each shard takes those unique keys,
+  computes one distance per pair with an endpoint in its rows and offers
+  it to both endpoints.  All three maintenance disciplines are
+  row-independent, so splitting the insert by row ranges is exact: any
+  ``n_jobs`` gives the bitwise-identical lists.
+
+The round therefore dedupes its pair keys once, by sorting
+(:func:`repro.utils.arrays.sort_unique` says why not ``np.unique``).
 
 Workers inherit the caller's :class:`~repro.kernels.strategy.Strategy`
 through fork and count into fresh counters, which the parent accumulates.
@@ -51,6 +55,7 @@ from repro.kernels.counters import OpCounters
 from repro.kernels.distance import sq_l2_pairs
 from repro.kernels.knn_state import EMPTY_ID, KnnState
 from repro.kernels.strategy import Strategy
+from repro.utils.arrays import sort_unique
 from repro.utils.parallel import map_forked, shard_ranges
 
 
@@ -164,7 +169,7 @@ def _reverse_lists(
 
 
 def _candidates_worker(shared: tuple, lo: int, hi: int) -> tuple:
-    """Local join for rows ``[lo, hi)``: canonical unique pair keys."""
+    """Local join for rows ``[lo, hi)``: sorted unique canonical pair keys."""
     ids, flags, keys_new, keys_old, rev_new, rev_old, sample, n = shared
     t0 = time.perf_counter()
     ids_s = ids[lo:hi]
@@ -175,8 +180,8 @@ def _candidates_worker(shared: tuple, lo: int, hi: int) -> tuple:
         ids_s, valid & ~flags_s, sample, keys_old[lo:hi]
     )
     # join: every new member meets every member (both directions), as
-    # canonical (lo, hi) keys - expanded back to both directions only
-    # after the parent's global dedupe
+    # canonical (lo, hi) keys - an unordered pair is one key until the
+    # insert stage offers it to both endpoints
     b_new = np.concatenate([fwd_new, rev_new[lo:hi]], axis=1)
     b_all = np.concatenate(
         [fwd_new, rev_new[lo:hi], fwd_old, rev_old[lo:hi]], axis=1
@@ -187,7 +192,7 @@ def _candidates_worker(shared: tuple, lo: int, hi: int) -> tuple:
     ok = (a != EMPTY_ID) & (b != EMPTY_ID) & (a != b)
     a, b = a[ok], b[ok]
     keys = np.minimum(a, b) * np.int64(n) + np.maximum(a, b)
-    return np.unique(keys), time.perf_counter() - t0
+    return sort_unique(keys), time.perf_counter() - t0
 
 
 def join_candidates(
@@ -197,14 +202,15 @@ def join_candidates(
     sample: int,
     *,
     n_jobs: int = 1,
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
+) -> tuple[np.ndarray, list[float]]:
     """Candidate stage: one round's deduplicated local-join pairs.
 
     Consumes the round RNG in a fixed order (forward-new keys, forward-old
     keys, then the two reverse-list draws) and snapshots the joined lists
     into ``refine_state.prev_ids`` for the next round's new flags.
-    Returns ``(rows, cols, shard_seconds)``: every unordered pair in both
-    directions, plus each row shard's wall time.
+    Returns ``(pairs, shard_seconds)``: every unordered pair once, as the
+    sorted canonical keys ``lo * n + hi`` with ``lo < hi`` (expand them
+    with :func:`pair_directions`), plus each row shard's wall time.
     """
     ids = state.ids
     n, k = ids.shape
@@ -219,14 +225,20 @@ def join_candidates(
         n_jobs,
     )
     refine_state.prev_ids = ids
-    uniq = np.unique(np.concatenate([part[0] for part in parts]))
-    klo = uniq // n
-    khi = uniq % n
-    return (
-        np.concatenate([klo, khi]),
-        np.concatenate([khi, klo]),
-        [float(part[1]) for part in parts],
-    )
+    # each shard's keys are already sorted and unique
+    keys = [part[0] for part in parts]
+    pairs = keys[0] if len(keys) == 1 else sort_unique(np.concatenate(keys))
+    return pairs, [float(part[1]) for part in parts]
+
+
+def pair_directions(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)``: the canonical pair keys in both directions.
+
+    ``rows = [lo, hi]`` and ``cols = [hi, lo]``, the order in which the
+    insert stage offers them.
+    """
+    lo, hi = np.divmod(pairs, n)
+    return np.concatenate([lo, hi]), np.concatenate([hi, lo])
 
 
 def _insert_worker(shared: tuple, lo: int, hi: int) -> tuple:
@@ -234,22 +246,27 @@ def _insert_worker(shared: tuple, lo: int, hi: int) -> tuple:
 
     Running the row-independent maintenance discipline on a row slice with
     the row's full (order-preserved) candidate sequence is exactly the
-    one-shard computation for those rows.  Distances are computed once per
-    unordered pair within the shard and mirrored (``(a-b)**2 == (b-a)**2``
-    holds bitwise in IEEE arithmetic).
+    one-shard computation for those rows.  Each pair with an endpoint in
+    the shard gets one distance, offered to both endpoints
+    (``(a-b)**2 == (b-a)**2`` holds bitwise in IEEE arithmetic).
     """
-    keys, x, rows, cols, strategy, n = shared
+    keys, x, a, b, strategy = shared
     t0 = time.perf_counter()
-    mask = (rows >= lo) & (rows < hi)
-    r, c = rows[mask], cols[mask]
+    a_in = (a >= lo) & (a < hi)
+    b_in = (b >= lo) & (b < hi)
+    touch = a_in | b_in
+    a, b, a_in, b_in = a[touch], b[touch], a_in[touch], b_in[touch]
+    d = sq_l2_pairs(x, a, b)
     sub = KnnState.from_keys(keys[lo:hi])
     strat = copy.copy(strategy)
     strat.reset_counters()
-    pair_keys = np.minimum(r, c) * np.int64(n) + np.maximum(r, c)
-    uniq, inverse = np.unique(pair_keys, return_inverse=True)
-    d = sq_l2_pairs(x, uniq // n, uniq % n)[inverse]
-    strat.counters.distance_evals += int(uniq.size)
-    inserted = strat.insert(sub, r - lo, c, d)
+    strat.counters.distance_evals += int(a.size)
+    inserted = strat.insert(
+        sub,
+        np.concatenate([a[a_in], b[b_in]]) - lo,
+        np.concatenate([b[a_in], a[b_in]]),
+        np.concatenate([d[a_in], d[b_in]]),
+    )
     return (
         sub.keys,
         inserted,
@@ -262,25 +279,26 @@ def insert_candidates(
     state: KnnState,
     x: np.ndarray,
     strategy: Strategy,
-    rows: np.ndarray,
-    cols: np.ndarray,
+    pairs: np.ndarray,
     *,
     n_jobs: int = 1,
 ) -> tuple[int, list[float]]:
-    """Insert stage: offer ``(rows, cols)`` through ``strategy``, row-sharded.
+    """Insert stage: offer :func:`join_candidates`' ``pairs`` through
+    ``strategy`` in both directions, row-sharded.
 
     Worker counters are accumulated into ``strategy.counters``.  Returns
     ``(inserted, shard_seconds)``.
     """
-    if rows.size == 0:
+    if pairs.size == 0:
         return 0, []
     n = state.n
     shards = shard_ranges(n, max(1, n_jobs))
     kernel = f"refine_pairs/{strategy.name}"
-    t0 = strategy._dispatch_begin(kernel, pairs=int(rows.size))
+    t0 = strategy._dispatch_begin(kernel, pairs=2 * int(pairs.size))
+    a, b = np.divmod(pairs, n)
     parts = map_forked(
         _insert_worker,
-        (state.keys, x, rows, cols, strategy, n),
+        (state.keys, x, a, b, strategy),
         shards,
         n_jobs,
     )
@@ -289,7 +307,7 @@ def insert_candidates(
         state.keys[lo:hi] = part[0]
         inserted += int(part[1])
         strategy.counters.add(OpCounters(**part[2]))
-    strategy._dispatch_end(t0, kernel, inserted, pairs=int(rows.size))
+    strategy._dispatch_end(t0, kernel, inserted, pairs=2 * int(pairs.size))
     return inserted, [float(part[3]) for part in parts]
 
 
@@ -312,12 +330,12 @@ def refine_round(
     does not depend on it.
     """
     rs = refine_state if refine_state is not None else RefineState()
-    rows, cols, gen_seconds = join_candidates(state, rs, rng, sample, n_jobs=n_jobs)
+    pairs, gen_seconds = join_candidates(state, rs, rng, sample, n_jobs=n_jobs)
     inserted, insert_seconds = insert_candidates(
-        state, x, strategy, rows, cols, n_jobs=n_jobs
+        state, x, strategy, pairs, n_jobs=n_jobs
     )
     rs.shard_seconds.extend(
         g + i for g, i in zip(gen_seconds, insert_seconds or [0.0] * len(gen_seconds))
     )
-    rs.record(int(rows.size), inserted)
+    rs.record(2 * int(pairs.size), inserted)
     return inserted

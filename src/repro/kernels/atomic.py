@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.kernels.knn_state import KnnState
 from repro.kernels.strategy import Strategy, register_strategy
+from repro.utils.arrays import run_heads, segment_lengths
 
 
 #: candidates modelled as concurrently in flight (resident warps on the
@@ -81,8 +82,8 @@ class AtomicStrategy(Strategy):
         order = np.argsort(rows, kind="stable")
         srows = rows[order]
         skeys = keys[order]
-        urows = np.unique(srows)
-        row_code = np.searchsorted(urows, srows)  # candidate -> dense row index
+        urows, _, counts = segment_lengths(srows)
+        row_code = np.repeat(np.arange(urows.size), counts)  # candidate -> dense row
         kmat = state.keys[urows]  # the touched rows; CAS passes write here
         inserted = 0
         pending = np.arange(srows.shape[0])
@@ -98,9 +99,9 @@ class AtomicStrategy(Strategy):
             if pending.size == 0:
                 break
             # exactly one winner per row per pass: the first pending
-            # occurrence (candidates are row-sorted, so np.unique's first
-            # index is the earliest arrival - "lane order")
-            _, first = np.unique(pcodes, return_index=True)
+            # occurrence (candidates are row-sorted, so each run's head is
+            # the earliest arrival - "lane order")
+            first = np.flatnonzero(run_heads(pcodes))
             winners = pending[first]
             wcodes = pcodes[first]
             kmat[wcodes, slot_per_row[wcodes]] = skeys[winners]

@@ -27,6 +27,7 @@ from repro.errors import ConfigurationError
 from repro.kernels.counters import OpCounters
 from repro.kernels.distance import batched_self_sq_l2, sq_l2_pairs
 from repro.kernels.knn_state import ID_MASK, KnnState, pack_keys
+from repro.utils.arrays import first_occurrences, run_heads, sort_unique
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
@@ -165,8 +166,7 @@ class Strategy(ABC):
             cols = np.broadcast_to(leaves[:, None, :], (b, m, m))[pair_valid]
             dists = dmat[pair_valid]
         if dedupe and rows.size:
-            key = rows * np.int64(state.n) + cols
-            _, first = np.unique(key, return_index=True)
+            first = first_occurrences(rows * np.int64(state.n) + cols)
             rows, cols, dists = rows[first], cols[first], dists[first]
         inserted = self.insert(state, rows, cols, dists)
         self._dispatch_end(
@@ -197,10 +197,7 @@ class Strategy(ABC):
             # canonicalise to unordered pairs: compute once, insert twice
             lo = np.minimum(rows, cols)
             hi = np.maximum(rows, cols)
-            key = lo * np.int64(state.n) + hi
-            uniq = np.unique(key)
-            lo = (uniq // state.n).astype(np.int64)
-            hi = (uniq % state.n).astype(np.int64)
+            lo, hi = np.divmod(sort_unique(lo * np.int64(state.n) + hi), state.n)
             d = sq_l2_pairs(x, lo, hi)
             self.counters.distance_evals += int(lo.size)
             rows = np.concatenate([lo, hi])
@@ -209,10 +206,7 @@ class Strategy(ABC):
         else:
             # dedupe directed pairs: a duplicated (row, col) in one batch
             # would enter the bulk merge twice and occupy two slots
-            key = rows * np.int64(state.n) + cols
-            uniq = np.unique(key)
-            rows = (uniq // state.n).astype(np.int64)
-            cols = (uniq % state.n).astype(np.int64)
+            rows, cols = np.divmod(sort_unique(rows * np.int64(state.n) + cols), state.n)
             dists = sq_l2_pairs(x, rows, cols)
             self.counters.distance_evals += int(rows.size)
         inserted = self.insert(state, rows, cols, dists)
@@ -263,15 +257,16 @@ class Strategy(ABC):
         """
         if rows.size == 0:
             return
-        key = rows * np.int64(state.n) + cols
-        uniq, counts = np.unique(key, return_counts=True)
-        if (counts > 1).any():
+        # cols are global ids, not bounded by a row slice's state.n
+        key = np.sort((rows.astype(np.int64) << 32) | cols)
+        repeat = ~run_heads(key)
+        if repeat.any():
             from repro.errors import RaceError
 
-            bad = int(uniq[counts > 1][0])
+            bad = int(key[repeat][0])
             raise RaceError(
                 f"wksan [vectorized insert]: duplicate (row, col) pair "
-                f"({bad // state.n}, {bad % state.n}) within one candidate "
+                f"({bad >> 32}, {bad & ID_MASK}) within one candidate "
                 f"batch; fancy assignment would silently keep the last "
                 f"occurrence (see Strategy._insert preconditions)"
             )

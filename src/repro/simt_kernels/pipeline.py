@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import BuildConfig
-from repro.core.refine import RefineState, _new_flags, join_candidates
+from repro.core.refine import RefineState, _new_flags, join_candidates, pair_directions
 from repro.core.rpforest import RPForest
 from repro.errors import ConfigurationError
 from repro.kernels.knn_state import EMPTY_ID, KnnState
@@ -87,7 +87,8 @@ class _DeviceLists:
         count the vectorised round reports.
         """
         before = self.to_state()
-        rows, cols, _ = join_candidates(before, refine_state, rng, sample)
+        pairs, _ = join_candidates(before, refine_state, rng, sample)
+        rows, cols = pair_directions(pairs, self.n)
         _launch_pairs(self.device, self, self.xbuf, rows, cols, x.shape[1], self.k)
         inserted = int(_new_flags(self.to_state(), before.ids).sum())
         refine_state.record(int(rows.size), inserted)

@@ -71,6 +71,14 @@ def row_topk(dists: np.ndarray, ids: np.ndarray, k: int) -> tuple[np.ndarray, np
     )
 
 
+def run_heads(sorted_keys: np.ndarray) -> np.ndarray:
+    """Neighbour mask of a *sorted* 1-D array: True at the first key of each run."""
+    head = np.empty(sorted_keys.shape[0], dtype=bool)
+    head[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
+    return head
+
+
 def segment_lengths(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run-length encode a *sorted* key array.
 
@@ -80,14 +88,29 @@ def segment_lengths(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     """
     if sorted_keys.ndim != 1:
         raise ValueError("segment_lengths expects a 1-D key array")
-    n = sorted_keys.shape[0]
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return sorted_keys[:0], empty, empty
-    boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-    starts = np.concatenate(([0], boundaries))
-    counts = np.diff(np.concatenate((starts, [n])))
+    starts = np.flatnonzero(run_heads(sorted_keys))
+    counts = np.diff(starts, append=sorted_keys.shape[0])
     return sorted_keys[starts], starts, counts
+
+
+def sort_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` of a 1-D array, by a sort and a neighbour mask.
+
+    The build path dedupes with this, not ``np.unique``: NumPy >= 2.3
+    answers a plain integer ``np.unique`` from a hash table, which on the
+    refine round's pair keys is over ten times slower than sorting.
+    """
+    s = np.sort(keys)
+    return s[run_heads(s)]
+
+
+def first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Index of each distinct key's first occurrence, in ascending key order.
+
+    Equal to ``np.unique(keys, return_index=True)[1]``.
+    """
+    order = np.argsort(keys, kind="stable")
+    return order[run_heads(keys[order])]
 
 
 def dedupe_per_row(ids: np.ndarray, invalid: int = -1) -> np.ndarray:

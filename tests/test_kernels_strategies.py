@@ -8,7 +8,7 @@ converge to the exact k-smallest neighbour sets - they differ in *how*
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RaceError
 from repro.kernels import KnnState, available_strategies, get_strategy
 from repro.kernels.atomic import AtomicStrategy
 from repro.kernels.baseline import BaselineStrategy
@@ -160,6 +160,30 @@ class TestLeafBatch:
             strat = get_strategy(name)
             strat.update_leaf(KnnState(cloud.shape[0], 4), cloud, leaf)
             assert strat.counters.distance_evals == expected
+
+
+class TestSanitizedBatchCheck:
+    """The ``WKNN_SANITIZE`` duplicate-pair check on one insert batch."""
+
+    @pytest.mark.parametrize("name", ["atomic", "baseline", "tiled"])
+    def test_duplicate_pair_raises(self, name, monkeypatch):
+        monkeypatch.setenv("WKNN_SANITIZE", "1")
+        rows = np.array([0, 3, 0], dtype=np.int64)
+        cols = np.array([5, 5, 5], dtype=np.int64)
+        with pytest.raises(RaceError, match=r"\(0, 5\)"):
+            get_strategy(name).insert(KnnState(10, 4), rows, cols,
+                                      np.ones(3, dtype=np.float32))
+
+    @pytest.mark.parametrize("name", ["atomic", "baseline", "tiled"])
+    def test_row_slice_with_global_cols_passes(self, name, monkeypatch):
+        # a refine shard inserts into a 4-row slice with global column ids:
+        # (0, 5) and (1, 1) must not alias as 0 * 4 + 5 == 1 * 4 + 1
+        monkeypatch.setenv("WKNN_SANITIZE", "1")
+        rows = np.array([0, 1], dtype=np.int64)
+        cols = np.array([5, 1], dtype=np.int64)
+        inserted = get_strategy(name).insert(KnnState(4, 2), rows, cols,
+                                             np.ones(2, dtype=np.float32))
+        assert inserted == 2
 
 
 class TestCounters:

@@ -2,13 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.utils.arrays import (
     blockwise_ranges,
     dedupe_per_row,
+    first_occurrences,
     pad_to_length,
     row_topk,
     segment_lengths,
+    sort_unique,
+)
+
+# int64 keys with frequent repeats and the packed-key extremes
+int64_keys = hnp.arrays(
+    np.int64,
+    st.integers(0, 64),
+    elements=st.sampled_from([-(2**62), -1, 0, 1, 2**62]) | st.integers(-(2**62), 2**62),
 )
 
 
@@ -108,6 +120,24 @@ class TestSegmentLengths:
         keys = np.sort(rng.integers(0, 10, 100))
         _, _, c = segment_lengths(keys)
         assert c.sum() == 100
+
+
+class TestSortUnique:
+    """The sort-based dedupe must be ``np.unique``, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(int64_keys)
+    @example(np.array([], dtype=np.int64))
+    @example(np.array([2**62], dtype=np.int64))
+    @example(np.full(7, -(2**62), dtype=np.int64))
+    @example(np.array([2**62, -(2**62), 2**62, -(2**62)], dtype=np.int64))
+    def test_matches_np_unique(self, keys):
+        uniq, first = np.unique(keys, return_index=True)
+        got = sort_unique(keys)
+        assert got.dtype == uniq.dtype and np.array_equal(got, uniq)
+        idx = first_occurrences(keys)
+        assert np.array_equal(idx, first)
+        assert np.array_equal(segment_lengths(np.sort(keys))[0], uniq)
 
 
 class TestDedupePerRow:
